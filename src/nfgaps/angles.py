@@ -14,12 +14,8 @@ in double precision once the order is fixed.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +31,6 @@ __all__ = [
     "normalized_gaps",
     "empirical_G",
     "gap_per_point",
-    "write_gap_grid_csv",
-    "write_gap_per_point_csv",
-    "write_run_header_json",
 ]
 
 
@@ -110,13 +103,14 @@ class AngleSequence:
 
 @dataclass(eq=False)
 class GapSample:
-    """Consecutive angular gaps divided by the average gap, in angular order."""
+    """Consecutive angular gaps divided by the average gap, in angular order;
+    `sorted_gaps` holds the same gaps in increasing order."""
 
     gaps: np.ndarray
-    _sorted: np.ndarray = field(init=False, repr=False)
+    sorted_gaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._sorted = np.sort(self.gaps)
+        self.sorted_gaps = np.sort(self.gaps)
 
     @property
     def n(self) -> int:
@@ -128,7 +122,7 @@ class GapSample:
 
     @property
     def max(self) -> float:
-        return float(self._sorted[-1])
+        return float(self.sorted_gaps[-1])
 
 
 def _point_array(points, J: int | None) -> tuple[list[tuple[int, int]], int]:
@@ -190,7 +184,7 @@ def empirical_G(gaps: GapSample, lam):
         raise PreconditionError("lambda must be nonnegative")
     if gaps.n == 0:
         raise PreconditionError("gap sample is empty")
-    below = np.searchsorted(gaps._sorted, lam_arr, side="left")
+    below = np.searchsorted(gaps.sorted_gaps, lam_arr, side="left")
     frac = 1.0 - below / gaps.n
     return float(frac) if np.isscalar(lam) or lam_arr.ndim == 0 else frac
 
@@ -208,37 +202,3 @@ def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float
     for k in range(seq.n - 1):
         carried[int(seq.order[k])] = float(gaps.gaps[k])
     return [(x, y, g) for (x, y), g in zip(pts, carried)]
-
-
-def write_gap_grid_csv(grid: np.ndarray, values: np.ndarray, path: str | Path) -> None:
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["lambda", "G_emp"])
-        for lam, g in zip(grid, values):
-            w.writerow([fmt_float(lam), fmt_float(g)])
-
-
-def write_gap_per_point_csv(rows: Sequence[tuple[int, int, float | None]], path: str | Path) -> None:
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "y", "gap"])
-        for x, y, g in rows:
-            w.writerow([x, y, "" if g is None else fmt_float(g)])
-
-
-def write_run_header_json(ps: CurvePointSet, seq: AngleSequence, path: str | Path) -> None:
-    header = {
-        "q": ps.q,
-        "h": ps.h,
-        "t": float(seq.frame.t),
-        "J": ps.J,
-        "n": seq.n,
-        "alpha_min": seq.alpha_min,
-        "alpha_max": seq.alpha_max,
-        "delta_av": seq.delta_av,
-    }
-    Path(path).write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")

@@ -14,20 +14,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .angles import (angle_sequence, empirical_G, gap_per_point, normalized_gaps,
-                     write_gap_grid_csv, write_gap_per_point_csv, write_run_header_json)
+from .angles import angle_sequence, empirical_G, gap_per_point, normalized_gaps
 from .errors import PreconditionError
-from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast,
-                          convergence_scan, empirical_gap_curve,
-                          equidistribution_check, exponential_limit_scan,
-                          h_independence, write_curve_csv, write_report_json)
+from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, convergence_scan,
+                          equidistribution_check, exponential_limit_scan, h_independence)
 from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
-                     neighbor_flip_tuple, write_boxes_csv, write_sums_csv)
-from .limitdist import write_curve_csv as write_limit_csv
-from .limitdist import write_tiles_csv
-from .modcurve import build_curve, build_nf_curve, nf_union, write_points_csv, write_sidecar_json
-from .omega import interference_order, omega_volume, omega_volume_quadrature, write_volume_csv
-from .output import write_manifest
+                     neighbor_flip_tuple)
+from .limitdist import classify_region, limit_density, limit_G, tile_map
+from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
+from .omega import interference_order, omega_volume, omega_volume_quadrature
+from .output import fmt_float, manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
 
@@ -157,6 +153,25 @@ def _flags_dict(args: argparse.Namespace) -> dict:
     return flags
 
 
+def _write_points(path: Path, ps: CurvePointSet) -> None:
+    """Metadata block (q,h,centered) followed by one x,y row per point."""
+    write_csv(path, ["q", "h", "centered"],
+              [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y"), *ps.points])
+
+
+def _write_gap_curve(path: Path, lams, curve) -> None:
+    write_csv(path, ["lambda", "G_emp"],
+              ((fmt_float(lam), fmt_float(g)) for lam, g in zip(lams, curve)))
+
+
+def _write_csvs(out: Path, files: dict) -> list[str]:
+    """Write each name -> (header, rows); callers build every file's rows
+    first, so a validation error leaves no partial artifacts."""
+    for name, (header, rows) in files.items():
+        write_csv(out / name, header, rows)
+    return list(files)
+
+
 def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     artifacts = []
     if args.union:
@@ -164,7 +179,7 @@ def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
         union_dir.mkdir(exist_ok=True)
         for h, ps in nf_union(args.q).items():
             path = union_dir / f"h{h:04d}.csv"
-            write_points_csv(ps, path)
+            _write_points(path, ps)
             artifacts.append(str(path.relative_to(out)))
         return artifacts
     if args.h is None:
@@ -172,8 +187,9 @@ def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     ps = build_nf_curve(args.q, args.h) if args.raw else build_curve(args.q, args.h)
     kind = "raw" if args.raw else "centered"
     base = f"curve_q{args.q}_h{args.h}_{kind}"
-    write_points_csv(ps, out / f"{base}.csv")
-    write_sidecar_json(ps, out / f"{base}.json")
+    _write_points(out / f"{base}.csv", ps)
+    write_json(out / f"{base}.json", {"q": ps.q, "h": ps.h, "J": ps.J, "count": ps.count,
+                                      "centered": ps.centered})
     return [f"{base}.csv", f"{base}.json"]
 
 
@@ -182,47 +198,68 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     seq = angle_sequence(ps, args.t)
     gaps = normalized_gaps(seq)
     grid_values = args.grid.values()
-    curve = empirical_G(gaps, grid_values)
     base = f"gaps_q{args.q}_h{args.h}"
-    write_gap_grid_csv(grid_values, curve, out / f"{base}.csv")
-    write_run_header_json(ps, seq, out / f"{base}.json")
+    _write_gap_curve(out / f"{base}.csv", grid_values, empirical_G(gaps, grid_values))
+    write_json(out / f"{base}.json", {
+        "q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
+        "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max, "delta_av": seq.delta_av,
+    })
     artifacts = [f"{base}.csv", f"{base}.json"]
     if args.per_point:
-        rows = gap_per_point(ps, args.t)
-        write_gap_per_point_csv(rows, out / f"{base}_points.csv")
+        write_csv(out / f"{base}_points.csv", ["x", "y", "gap"],
+                  ((x, y, "" if g is None else fmt_float(g))
+                   for x, y, g in gap_per_point(ps, args.t)))
         artifacts.append(f"{base}_points.csv")
     return artifacts
 
 
 def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
-    t = float(args.t)
-    base = f"limit_t{t:g}"
-    write_limit_csv(t, args.grid.values(), out / f"{base}.csv")
-    artifacts = [f"{base}.csv"]
     if (args.tile_t is None) != (args.tile_lambda is None):
         raise PreconditionError("--tile-t and --tile-lambda must be given together")
+    t = float(args.t)
+    rows = []
+    for lam in args.grid.values():
+        region = classify_region(t, lam)
+        g = limit_G(t, lam)
+        # The density has an integrable log spike at lambda = 1; the file says inf.
+        dens = math.inf if lam == 1.0 else limit_density(t, lam)
+        rows.append((fmt_float(lam), fmt_float(g), fmt_float(dens), region.value))
+    files = {f"limit_t{t:g}.csv": (["lambda", "G_limit", "g_limit", "region"], rows)}
     if args.tile_t is not None:
-        write_tiles_csv(args.tile_t.values(), args.tile_lambda.values(),
-                        out / "tiles.csv")
-        artifacts.append("tiles.csv")
-    return artifacts
+        t_values, lam_values = args.tile_t.values(), args.tile_lambda.values()
+        files["tiles.csv"] = ["t", "lambda", "region"], [
+            (fmt_float(tt), fmt_float(lam), region.value)
+            for tt, row in zip(t_values, tile_map(t_values, lam_values))
+            for lam, region in zip(lam_values, row)]
+    return _write_csvs(out, files)
 
 
 def _cmd_omega(args: argparse.Namespace, out: Path) -> list[str]:
+    """Rows t,lambda,D,samples,seed,estimate,std_error; quadrature rows carry
+    samples=0, seed=0, std_error=0."""
     rows = []
     for lam in args.lam:
-        rows.append(omega_volume(args.t, lam, args.samples, args.seed,
-                                 threads=args.threads))
+        est = omega_volume(args.t, lam, args.samples, args.seed, threads=args.threads)
+        rows.append((fmt_float(est.t), fmt_float(est.lam), est.D, est.samples, est.seed,
+                     fmt_float(est.estimate), fmt_float(est.std_error)))
         if args.quadrature:
             value = omega_volume_quadrature(float(args.t), lam)
-            rows.append((float(args.t), lam, interference_order(args.t), value))
-    write_volume_csv(rows, out / "omega.csv")
+            rows.append((fmt_float(args.t), fmt_float(lam), interference_order(args.t), 0, 0,
+                         fmt_float(value), 0))
+    write_csv(out / "omega.csv", ["t", "lambda", "D", "samples", "seed", "estimate",
+                                  "std_error"], rows)
     return ["omega.csv"]
 
 
 def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
     tup = neighbor_flip_tuple(args.p, args.h, args.D)
-    artifacts = []
+    if args.sum_b is None and args.box is None:
+        raise PreconditionError("expsum needs --sum-b and/or --box")
+    if args.box is not None and len(args.box) != tup.d + 1:
+        raise PreconditionError(
+            f"--box needs 1 x-window plus {tup.d} value windows; got {len(args.box)}"
+        )
+    files = {}
     if args.sum_b is not None:
         b = [int(part) for part in args.sum_b.split(",")]
         a = args.sum_a or 0
@@ -232,60 +269,46 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
         else:
             value = complete_sum(tup, a, b)
             bound = 4 * tup.d * math.sqrt(tup.p)
-        ratio = abs(value) / bound
-        write_sums_csv([(tup.p, tup.d, a, b, value, ratio)], out / "sums.csv")
-        artifacts.append("sums.csv")
+        header = ["p", "d", "a", *(f"b{k + 1}" for k in range(len(b))), "re", "im",
+                  "bound_ratio"]
+        files["sums.csv"] = header, [(tup.p, tup.d, a, *b, fmt_float(value.real),
+                                      fmt_float(value.imag), fmt_float(abs(value) / bound))]
     if args.box is not None:
-        if len(args.box) != tup.d + 1:
-            raise PreconditionError(
-                f"--box needs 1 x-window plus {tup.d} value windows; got {len(args.box)}"
-            )
         spec = BoxSpec(x_window=args.box[0], value_windows=tuple(args.box[1:]))
-        write_boxes_csv([box_count(tup, spec)], out / "boxes.csv")
-        artifacts.append("boxes.csv")
-    if not artifacts:
-        raise PreconditionError("expsum needs --sum-b and/or --box")
-    return artifacts
+        r = box_count(tup, spec)
+        files["boxes.csv"] = (["p", "d", "count", "main_term", "normalized_error"],
+                              [(r.p, r.d, r.count, fmt_float(r.main_term),
+                                fmt_float(r.normalized_error))])
+    return _write_csvs(out, files)
 
 
 def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
     kind = args.kind
     grid = args.grid
     config = _flags_dict(args)
+    if not args.q:
+        what = {"convergence": "prime moduli", "composite": "modulus range"}.get(kind, "one prime")
+        raise PreconditionError(f"--q ({what}) is required for {kind} scans")
     if kind == "convergence":
-        if not args.q:
-            raise PreconditionError("--q (prime moduli) is required for convergence scans")
-        reports = convergence_scan(args.t[0], args.h[0], args.q, grid)
+        reports, curves = convergence_scan(args.t[0], args.h[0], args.q, grid)
     elif kind == "h-independence":
-        if not args.q:
-            raise PreconditionError("--q (one prime) is required for h-independence scans")
-        reports = h_independence(args.t[0], args.q[0], args.h, grid)
+        reports, curves = h_independence(args.t[0], args.q[0], args.h, grid)
     elif kind == "composite":
-        if not args.q:
-            raise PreconditionError("--q (modulus range) is required for composite scans")
-        reports = composite_contrast(args.q, args.t[0], args.h[0], grid)
+        reports, curves = composite_contrast(args.q, args.t[0], args.h[0], grid)
     elif kind == "equidistribution":
-        if not args.q:
-            raise PreconditionError("--q (one prime) is required for equidistribution checks")
-        ks = equidistribution_check(args.q[0], args.h[0], args.t[0])
-        reports = []
-        config["ks_statistic"] = ks
+        config["ks_statistic"] = equidistribution_check(args.q[0], args.h[0], args.t[0])
+        reports, curves = [], {}
     else:
-        if not args.q:
-            raise PreconditionError("--q (one prime) is required for exponential scans")
-        reports = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
-    write_report_json(config, reports, out / "report.json")
+        reports, curves = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
+    cells = [{**r.config, "sup_distance": r.sup_distance, "argmax_lambda": r.argmax_lambda}
+             for r in reports]
+    write_json(out / "report.json", {"config": config, "cells": cells}, indent=2)
     artifacts = ["report.json"]
-    if args.curves and kind != "equidistribution":
-        if kind == "h-independence":
-            cells = [(args.q[0], h, args.t[0]) for h in args.h]
-        elif kind == "exponential":
-            cells = [(args.q[0], args.h[0], t) for t in args.t]
-        else:
-            cells = [(q, args.h[0], args.t[0]) for q in args.q]
-        for q, h, t in cells:
+    if args.curves:
+        lams = grid.values()
+        for (q, h, t), curve in curves.items():
             name = f"curve_q{q}_h{h}_t{float(t):g}.csv"
-            write_curve_csv(grid, empirical_gap_curve(q, h, t, grid), out / name)
+            _write_gap_curve(out / name, lams, curve)
             artifacts.append(name)
     return artifacts
 
@@ -306,8 +329,8 @@ def run(argv: list[str]) -> int:
     try:
         out = _out_dir(args)
         artifacts = _HANDLERS[args.command](args, out)
-        write_manifest(out, args.command, _flags_dict(args), args.seed,
-                       __version__, artifacts)
+        write_json(out / "manifest.json", manifest(args.command, _flags_dict(args), args.seed,
+                                                   __version__, artifacts), indent=2)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

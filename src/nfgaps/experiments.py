@@ -4,15 +4,15 @@ the drift of the empirical gap distribution toward exp(-lambda) for a
 close-in observer.
 
 Each operation reduces point sets to gap-distribution curves sampled on a
-shared lambda grid and reports sup-norm distances between curves.  All
-results are deterministic functions of their configuration.
+shared lambda grid and reports sup-norm distances between curves.  The
+scans return `(reports, curves)`, where `curves` maps each computed cell
+`(q, h, t)` (t as an exact Fraction) to its empirical curve, in computation
+order.  All results are deterministic functions of their configuration.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
     "composite_contrast",
     "equidistribution_check",
     "exponential_limit_scan",
-    "write_report_json",
-    "write_curve_csv",
 ]
 
 
@@ -79,6 +77,10 @@ class DistanceReport:
     argmax_lambda: float
 
 
+CellCurves = dict[tuple[int, int, Fraction], np.ndarray]
+ScanResult = tuple[list[DistanceReport], CellCurves]
+
+
 def sup_distance(curve_a: np.ndarray, curve_b: np.ndarray,
                  grid: np.ndarray) -> tuple[float, float]:
     """(max |A - B|, lambda attaining it) over the grid."""
@@ -111,29 +113,30 @@ def uniform_ks_statistic(values: Sequence[float]) -> float:
 
 
 def convergence_scan(t, h: int, primes: Sequence[int],
-                     grid: LambdaGrid = DEFAULT_GRID) -> list[DistanceReport]:
+                     grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of each prime's empirical curve to the closed-form limit."""
     t_frac = as_fraction(t)
     if t_frac < 1:
         raise PreconditionError(
             f"convergence scans need t >= 1 (closed form available); got t={t_frac}"
         )
-    reports = []
+    ref = _limit_curve(float(t_frac), grid)
+    reports, curves = [], {}
     for p in primes:
         if not is_prime(p):
             raise PreconditionError(f"convergence scans accept prime moduli only; got {p}")
         if h % p == 0:
             raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
-        emp = empirical_gap_curve(p, h, t_frac, grid)
-        dist, arg = sup_distance(emp, _limit_curve(float(t_frac), grid), grid.values())
+        emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
+        dist, arg = sup_distance(emp, ref, grid.values())
         reports.append(DistanceReport(
             config={"q": p, "h": h, "t": float(t_frac)},
             sup_distance=dist, argmax_lambda=arg))
-    return reports
+    return reports, curves
 
 
 def h_independence(t, p: int, h_list: Sequence[int],
-                   grid: LambdaGrid = DEFAULT_GRID) -> list[DistanceReport]:
+                   grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Pairwise distances between empirical curves for different shifts."""
     if not is_prime(p):
         raise PreconditionError(f"shift-independence runs need a prime modulus; got {p}")
@@ -141,19 +144,20 @@ def h_independence(t, p: int, h_list: Sequence[int],
         if h % p == 0:
             raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
     t_frac = as_fraction(t)
-    curves = {h: empirical_gap_curve(p, h, t_frac, grid) for h in h_list}
+    curves = {(p, h, t_frac): empirical_gap_curve(p, h, t_frac, grid) for h in h_list}
     reports = []
     for i, h1 in enumerate(h_list):
         for h2 in h_list[i + 1:]:
-            dist, arg = sup_distance(curves[h1], curves[h2], grid.values())
+            dist, arg = sup_distance(curves[p, h1, t_frac], curves[p, h2, t_frac],
+                                     grid.values())
             reports.append(DistanceReport(
                 config={"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
                 sup_distance=dist, argmax_lambda=arg))
-    return reports
+    return reports, curves
 
 
 def composite_contrast(q_values: Sequence[int], t, h: int,
-                       grid: LambdaGrid = DEFAULT_GRID) -> list[DistanceReport]:
+                       grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of each modulus' empirical curve to the prime-limit curve.
 
     Primes are expected to land close; composites are unconstrained and
@@ -165,16 +169,16 @@ def composite_contrast(q_values: Sequence[int], t, h: int,
     if t_frac < 1:
         raise PreconditionError(f"the reference limit needs t >= 1; got t={t_frac}")
     ref = _limit_curve(float(t_frac), grid)
-    reports = []
+    reports, curves = [], {}
     for q in q_values:
         if q % 2 == 0:
             continue
-        emp = empirical_gap_curve(q, h, t_frac, grid)
+        emp = curves[q, h, t_frac] = empirical_gap_curve(q, h, t_frac, grid)
         dist, arg = sup_distance(emp, ref, grid.values())
         reports.append(DistanceReport(
             config={"q": q, "h": h, "t": float(t_frac), "prime": is_prime(q)},
             sup_distance=dist, argmax_lambda=arg))
-    return reports
+    return reports, curves
 
 
 def equidistribution_check(p: int, h: int, t) -> float:
@@ -187,7 +191,7 @@ def equidistribution_check(p: int, h: int, t) -> float:
 
 
 def exponential_limit_scan(p: int, h: int, t_list: Sequence,
-                           grid: LambdaGrid = DEFAULT_GRID) -> list[DistanceReport]:
+                           grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of empirical curves to exp(-lambda) for a list of t values.
 
     The exp(-lambda) reference is the gap law of an idealized pseudorandom
@@ -195,35 +199,12 @@ def exponential_limit_scan(p: int, h: int, t_list: Sequence,
     1/J.  The closeness thresholds applied by callers are harness choices.
     """
     ref = np.exp(-grid.values())
-    reports = []
+    reports, curves = [], {}
     for t in t_list:
         t_frac = as_fraction(t)
-        emp = empirical_gap_curve(p, h, t_frac, grid)
+        emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
         dist, arg = sup_distance(emp, ref, grid.values())
         reports.append(DistanceReport(
             config={"q": p, "h": h, "t": float(t_frac)},
             sup_distance=dist, argmax_lambda=arg))
-    return reports
-
-
-def write_report_json(config: dict, reports: Sequence[DistanceReport],
-                      path: str | Path) -> None:
-    payload = {
-        "config": config,
-        "cells": [
-            {**r.config, "sup_distance": r.sup_distance, "argmax_lambda": r.argmax_lambda}
-            for r in reports
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
-
-
-def write_curve_csv(grid: LambdaGrid, curve: np.ndarray, path: str | Path) -> None:
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["lambda", "G_emp"])
-        for lam, g in zip(grid.values(), curve):
-            w.writerow([fmt_float(lam), fmt_float(g)])
+    return reports, curves

@@ -14,11 +14,9 @@ loudly.  They are not sharp analytic constants.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +38,6 @@ __all__ = [
     "geometric_sum_bound",
     "box_count",
     "inverse_table",
-    "write_sums_csv",
-    "write_boxes_csv",
 ]
 
 
@@ -294,30 +290,3 @@ def box_count(tup: FracLinearTuple, box: BoxSpec) -> BoxCount:
     count = int(np.count_nonzero(mask))
     main = box.x_window.length * math.prod(w.length for w in box.value_windows) / p ** tup.d
     return BoxCount(p=p, d=tup.d, count=count, main_term=main)
-
-
-def write_sums_csv(rows: Sequence[tuple], path: str | Path) -> None:
-    """Rows p,d,a,b1..bd,re,im,bound_ratio (one b column per tuple element)."""
-    from .output import fmt_float
-
-    if not rows:
-        raise PreconditionError("no sum rows to write")
-    d = len(rows[0][3])
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["p", "d", "a"] + [f"b{k + 1}" for k in range(d)]
-                   + ["re", "im", "bound_ratio"])
-        for p, dd, a, b, value, ratio in rows:
-            w.writerow([p, dd, a] + list(b)
-                       + [fmt_float(value.real), fmt_float(value.imag), fmt_float(ratio)])
-
-
-def write_boxes_csv(rows: Sequence[BoxCount], path: str | Path) -> None:
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["p", "d", "count", "main_term", "normalized_error"])
-        for r in rows:
-            w.writerow([r.p, r.d, r.count, fmt_float(r.main_term),
-                        fmt_float(r.normalized_error)])

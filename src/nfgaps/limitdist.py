@@ -31,11 +31,9 @@ density has an integrable logarithmic spike.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from scipy.integrate import quad
@@ -52,8 +50,6 @@ __all__ = [
     "limit_density",
     "tile_map",
     "integral_of_G",
-    "write_curve_csv",
-    "write_tiles_csv",
 ]
 
 
@@ -329,33 +325,3 @@ def integral_of_G(t: float, epsabs: float = 1e-12) -> float:
     val, _ = quad(lambda l: limit_G(t, l), 0.0, hi,
                   points=pts, limit=400, epsabs=epsabs, epsrel=1e-12)
     return val
-
-
-def write_curve_csv(t: float, lam_values: Sequence[float], path: str | Path) -> None:
-    """Rows lambda,G_limit,g_limit,region; the density column is inf at lambda=1."""
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["lambda", "G_limit", "g_limit", "region"])
-        for lam in lam_values:
-            region = classify_region(t, lam)
-            g = limit_G(t, lam)
-            if lam == 1.0:
-                dens = math.inf
-            else:
-                dens = limit_density(t, lam)
-            w.writerow([fmt_float(lam), fmt_float(g), fmt_float(dens), region.value])
-
-
-def write_tiles_csv(t_values: Sequence[float], lam_values: Sequence[float],
-                    path: str | Path) -> None:
-    from .output import fmt_float
-
-    tiles = tile_map(t_values, lam_values)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "lambda", "region"])
-        for t, row in zip(t_values, tiles):
-            for lam, region in zip(lam_values, row):
-                w.writerow([fmt_float(t), fmt_float(lam), region.value])

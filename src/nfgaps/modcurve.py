@@ -13,11 +13,8 @@ uniformly and q may be as large as memory allows.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from math import gcd
-from pathlib import Path
 
 from .errors import PreconditionError
 
@@ -29,8 +26,6 @@ __all__ = [
     "build_nf_curve",
     "nf_union",
     "is_prime",
-    "write_points_csv",
-    "write_sidecar_json",
 ]
 
 
@@ -163,25 +158,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def write_points_csv(ps: CurvePointSet, path: str | Path) -> None:
-    """Metadata block (q,h,centered) followed by one x,y row per point."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["q", "h", "centered"])
-        w.writerow([ps.q, ps.h, "true" if ps.centered else "false"])
-        w.writerow(["x", "y"])
-        for x, y in ps.points:
-            w.writerow([x, y])
-
-
-def write_sidecar_json(ps: CurvePointSet, path: str | Path) -> None:
-    meta = {
-        "q": ps.q,
-        "h": ps.h,
-        "J": ps.J,
-        "count": ps.count,
-        "centered": ps.centered,
-    }
-    Path(path).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")

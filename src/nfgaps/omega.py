@@ -28,13 +28,11 @@ estimate is reproducible bit for bit.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +49,6 @@ __all__ = [
     "counter_uniforms",
     "omega_volume",
     "omega_volume_quadrature",
-    "write_volume_csv",
 ]
 
 _MIN_SAMPLES = 10_000
@@ -248,6 +245,8 @@ def omega_volume(t, lam: float, samples: int, seed: int,
     sizes = [min(_CHUNK, samples - s) for s in starts]
     if threads is None:
         threads = min(8, os.cpu_count() or 1)
+    if threads < 1:
+        raise PreconditionError(f"threads must be >= 1 (--threads); got {threads}")
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(lambda sc: _count_chunk(spec, seed, sc[0], sc[1]),
@@ -295,24 +294,3 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     val, _ = quad(integrand, 0.0, 0.5, points=pts, limit=200,
                   epsabs=1e-12, epsrel=1e-12)
     return 2.0 * val
-
-
-def write_volume_csv(rows: Sequence[VolumeEstimate | tuple], path: str | Path) -> None:
-    """Rows t,lambda,D,samples,seed,estimate,std_error.
-
-    Quadrature results may be written as tuples (t, lam, D, value) and get
-    samples=0, seed=0, std_error=0.
-    """
-    from .output import fmt_float
-
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "lambda", "D", "samples", "seed", "estimate", "std_error"])
-        for row in rows:
-            if isinstance(row, VolumeEstimate):
-                w.writerow([fmt_float(row.t), fmt_float(row.lam), row.D, row.samples,
-                            row.seed, fmt_float(row.estimate), fmt_float(row.std_error)])
-            else:
-                t, lam, D, value = row
-                w.writerow([fmt_float(t), fmt_float(lam), D, 0, 0,
-                            fmt_float(value), fmt_float(0.0)])

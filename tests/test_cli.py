@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nfgaps.cli import run
 
 
@@ -100,6 +102,16 @@ class TestOmegaCommand:
         assert run(["omega", "--t", "2.76", "--lambda", "0.5", "--samples",
                     "10", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_validation(self, threads, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", no_pool)
+        assert run(["omega", "--t", "2.76", "--lambda", "0.5", "--samples", "100000",
+                    "--threads", threads, "--out", str(tmp_path)]) == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestExpsumCommand:
     def test_sum_and_box(self, tmp_path):
@@ -144,6 +156,27 @@ class TestScanCommand:
 
     def test_missing_moduli(self, tmp_path):
         assert run(["scan", "--kind", "convergence", "--out", str(tmp_path)]) == 2
+
+    def test_composite_curves_skip_even_moduli(self, tmp_path):
+        assert run(["scan", "--kind", "composite", "--q", "25", "26", "27",
+                    "--t", "1.5", "--h", "2", "--curves", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [cell["q"] for cell in report["cells"]] == [25, 27]
+        curves = sorted(path.name for path in tmp_path.glob("curve_*.csv"))
+        assert curves == ["curve_q25_h2_t1.5.csv", "curve_q27_h2_t1.5.csv"]
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--t", "2.76", "--tile-t", "1:3:0.5"],
+        ["limit", "--t", "2.76", "--tile-t", "0.5:1:0.5", "--tile-lambda", "0:1:0.5"],
+        ["expsum", "--p", "101", "--sum-b", "2,3", "--box", "0:50", "0:50"],
+        ["expsum", "--p", "101", "--sum-b", "2,3", "--box", "0:50", "0:50", "0:500"],
+    ], ids=["unpaired-tiles", "tile-t-below-one", "box-arity", "box-window"])
+    def test_no_partial_artifacts(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestManifest:

@@ -7,7 +7,8 @@ import pytest
 from nfgaps import (LambdaGrid, PreconditionError, composite_contrast, convergence_scan,
                     empirical_gap_curve, equidistribution_check, exponential_limit_scan,
                     h_independence, sup_distance, uniform_ks_statistic)
-from nfgaps.experiments import DEFAULT_GRID, write_curve_csv, write_report_json
+from nfgaps.cli import run
+from nfgaps.experiments import DEFAULT_GRID
 
 
 class TestLambdaGrid:
@@ -61,8 +62,11 @@ class TestKS:
 
 class TestConvergenceScan:
     def test_small_primes_report(self):
-        reports = convergence_scan("2.76", 1, [101, 211, 1009])
+        reports, curves = convergence_scan("2.76", 1, [101, 211, 1009])
         assert [r.config["q"] for r in reports] == [101, 211, 1009]
+        assert list(curves) == [(q, 1, Fraction(69, 25)) for q in (101, 211, 1009)]
+        np.testing.assert_array_equal(curves[101, 1, Fraction(69, 25)],
+                                      empirical_gap_curve(101, 1, "2.76"))
         assert all(0.0 <= r.sup_distance <= 1.0 for r in reports)
         # larger primes track the limit more closely on this range
         assert reports[-1].sup_distance < reports[0].sup_distance
@@ -78,12 +82,13 @@ class TestConvergenceScan:
 
 class TestHIndependence:
     def test_identical_shifts_zero_distance(self):
-        reports = h_independence("1.5", 101, [3, 3])
+        reports, _ = h_independence("1.5", 101, [3, 3])
         assert reports[0].sup_distance == 0.0
 
     def test_pair_count(self):
-        reports = h_independence("1.5", 101, [1, 2, 5])
+        reports, curves = h_independence("1.5", 101, [1, 2, 5])
         assert len(reports) == 3
+        assert list(curves) == [(101, h, Fraction(3, 2)) for h in (1, 2, 5)]
         assert {(r.config["h"], r.config["h2"]) for r in reports} == {(1, 2), (1, 5), (2, 5)}
 
     def test_zero_shift_rejected(self):
@@ -93,12 +98,13 @@ class TestHIndependence:
 
 class TestCompositeContrast:
     def test_flags_primality_and_skips_even(self):
-        reports = composite_contrast(range(25, 32), "1.5", 2)
+        reports, curves = composite_contrast(range(25, 32), "1.5", 2)
         flags = {r.config["q"]: r.config["prime"] for r in reports}
         assert flags == {25: False, 27: False, 29: True, 31: True}
+        assert [q for q, _, _ in curves] == [25, 27, 29, 31]
 
     def test_empty_composite_set(self):
-        reports = composite_contrast([29, 31], "1.5", 2)
+        reports, _ = composite_contrast([29, 31], "1.5", 2)
         assert all(r.config["prime"] for r in reports)
 
 
@@ -116,8 +122,9 @@ class TestEquidistribution:
 
 class TestExponentialScan:
     def test_reports_per_t(self):
-        reports = exponential_limit_scan(1009, 1, ["3", "1/2"])
+        reports, curves = exponential_limit_scan(1009, 1, ["3", "1/2"])
         assert len(reports) == 2
+        assert list(curves) == [(1009, 1, Fraction(3)), (1009, 1, Fraction(1, 2))]
         assert reports[0].config["t"] == 3.0
         # the far observer is far from the exponential law; closer is closer
         assert reports[1].sup_distance < reports[0].sup_distance
@@ -132,25 +139,25 @@ class TestGridResolution:
         # halving the grid step moves reported distances by at most 0.005
         coarse = LambdaGrid(0.0, 4.0, 0.01)
         fine = LambdaGrid(0.0, 4.0, 0.005)
-        d_coarse = convergence_scan("2.76", 1, [1009], coarse)[0].sup_distance
-        d_fine = convergence_scan("2.76", 1, [1009], fine)[0].sup_distance
+        d_coarse = convergence_scan("2.76", 1, [1009], coarse)[0][0].sup_distance
+        d_fine = convergence_scan("2.76", 1, [1009], fine)[0][0].sup_distance
         assert abs(d_coarse - d_fine) <= 0.005
 
 
 class TestReportFiles:
     def test_json_roundtrip(self, tmp_path):
-        reports = convergence_scan("2.76", 1, [101])
-        write_report_json({"kind": "convergence"}, reports, tmp_path / "report.json")
+        assert run(["scan", "--kind", "convergence", "--t", "2.76", "--h", "1",
+                    "--q", "101", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["config"] == {"kind": "convergence"}
+        assert payload["config"]["kind"] == "convergence"
         assert payload["cells"][0]["q"] == 101
         assert set(payload["cells"][0]) == {"q", "h", "t", "sup_distance", "argmax_lambda"}
 
     def test_curve_csv(self, tmp_path):
-        grid = LambdaGrid(0.0, 1.0, 0.5)
-        curve = empirical_gap_curve(101, 1, "2.76", grid)
-        write_curve_csv(grid, curve, tmp_path / "curve.csv")
-        lines = (tmp_path / "curve.csv").read_text().splitlines()
+        assert run(["scan", "--kind", "convergence", "--t", "2.76", "--h", "1",
+                    "--q", "101", "--grid", "0:1:0.5", "--curves",
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "curve_q101_h1_t2.76.csv").read_text().splitlines()
         assert lines[0] == "lambda,G_emp"
         assert len(lines) == 4
         assert lines[1] == "0,1"

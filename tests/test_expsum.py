@@ -8,7 +8,8 @@ from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, Precondition
                     box_count, complete_sum, complete_sum_magnitudes,
                     geometric_interval_sum, geometric_sum_bound, incomplete_sum,
                     neighbor_flip_tuple)
-from nfgaps.expsum import inverse_table, write_boxes_csv, write_sums_csv
+from nfgaps.cli import run
+from nfgaps.expsum import inverse_table
 
 RNG = np.random.default_rng(20240831)
 
@@ -258,16 +259,22 @@ class TestExport:
         tup = neighbor_flip_tuple(101, 1, 1)
         value = complete_sum(tup, 1, [2, 3])
         ratio = abs(value) / (4 * tup.d * math.sqrt(101))
-        write_sums_csv([(101, 2, 1, [2, 3], value, ratio)], tmp_path / "sums.csv")
+        assert run(["expsum", "--p", "101", "--h", "1", "--D", "1", "--sum-a", "1",
+                    "--sum-b", "2,3", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sums.csv").read_text().splitlines()
         assert lines[0] == "p,d,a,b1,b2,re,im,bound_ratio"
         assert len(lines) == 2
+        re, im, bound_ratio = (float(v) for v in lines[1].split(",")[5:])
+        assert complex(re, im) == value and bound_ratio == ratio
 
     def test_box_rows(self, tmp_path):
         tup = neighbor_flip_tuple(101, 1, 1)
         full = Interval(0, 100)
         result = box_count(tup, BoxSpec(x_window=full, value_windows=(full, full)))
-        write_boxes_csv([result], tmp_path / "boxes.csv")
+        assert run(["expsum", "--p", "101", "--h", "1", "--D", "1",
+                    "--box", "0:100", "0:100", "0:100", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "boxes.csv").read_text().splitlines()
         assert lines[0] == "p,d,count,main_term,normalized_error"
         assert lines[1].startswith("101,2,99,")
+        main_term, normalized_error = (float(v) for v in lines[1].split(",")[3:])
+        assert (main_term, normalized_error) == (result.main_term, result.normalized_error)

@@ -6,7 +6,7 @@ import pytest
 from nfgaps import (PreconditionError, Region, SingularPointError, branch_derivative,
                     branch_value, classify_region, integral_of_G, limit_G,
                     limit_density, thresholds, tile_map)
-from nfgaps.limitdist import write_curve_csv, write_tiles_csv
+from nfgaps.cli import run
 
 from conftest import region_volume_G
 
@@ -177,13 +177,14 @@ class TestTiles:
         assert changes == pytest.approx([1 - 2 / 2.76, 1.0, 1 + 2 / 2.76], abs=2e-4)
 
     def test_csv_exports(self, tmp_path):
-        write_curve_csv(2.76, np.arange(0.0, 2.01, 0.5), tmp_path / "curve.csv")
-        lines = (tmp_path / "curve.csv").read_text().splitlines()
+        assert run(["limit", "--t", "2.76", "--grid", "0:2:0.5",
+                    "--tile-t", "1.45:2.76:1.31", "--tile-lambda", "0.1:1.2:1.1",
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "limit_t2.76.csv").read_text().splitlines()
         assert lines[0] == "lambda,G_limit,g_limit,region"
         assert lines[1].endswith(",ONE")
         assert "inf" in lines[3]  # density column at lambda = 1
 
-        write_tiles_csv([2.76, 1.45], [0.1, 1.2], tmp_path / "tiles.csv")
         tiles = (tmp_path / "tiles.csv").read_text().splitlines()
         assert tiles[0] == "t,lambda,region"
         assert len(tiles) == 5

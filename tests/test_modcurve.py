@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nfgaps import (PreconditionError, build_curve, build_nf_curve,
                     is_prime, mod_inverse, mod_inverse_centered, nf_union)
-from nfgaps.modcurve import write_points_csv, write_sidecar_json
+from nfgaps.cli import run
 
 from conftest import brute_force_curve
 
@@ -174,10 +174,9 @@ class TestPrimality:
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path):
         ps = build_curve(7, 1)
-        csv_path = tmp_path / "pts.csv"
-        json_path = tmp_path / "pts.json"
-        write_points_csv(ps, csv_path)
-        write_sidecar_json(ps, json_path)
+        csv_path = tmp_path / "curve_q7_h1_centered.csv"
+        json_path = tmp_path / "curve_q7_h1_centered.json"
+        assert run(["curve", "--q", "7", "--h", "1", "--out", str(tmp_path)]) == 0
 
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "q,h,centered"

@@ -5,7 +5,8 @@ import pytest
 
 from nfgaps import (OmegaSpec, PreconditionError, counter_uniforms, interference_order,
                     limit_G, omega_contains, omega_volume, omega_volume_quadrature)
-from nfgaps.omega import coordinate_offsets, write_volume_csv
+from nfgaps.cli import run
+from nfgaps.omega import coordinate_offsets
 
 from conftest import region_volume_G
 
@@ -154,6 +155,15 @@ class TestVolume:
         assert len({r.accepted for r in runs}) == 1
         assert len({r.estimate for r in runs}) == 1
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_validated(self, threads, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", no_pool)
+        with pytest.raises(PreconditionError, match="threads"):
+            omega_volume(2.76, 0.8, 3 << 20, seed=1, threads=threads)
+
     def test_monotone_in_lambda(self):
         lams = [0.2, 0.6, 1.0, 1.4, 1.8]
         ests = [omega_volume(1.45, lam, 200_000, seed=3) for lam in lams]
@@ -206,8 +216,10 @@ class TestQuadrature:
 class TestExport:
     def test_csv_schema(self, tmp_path):
         est = omega_volume(2.76, 0.8, 10 ** 5, seed=42)
-        write_volume_csv([est, (2.76, 0.8, 1, 0.893)], tmp_path / "omega.csv")
+        assert run(["omega", "--t", "2.76", "--lambda", "0.8", "--samples", "100000",
+                    "--seed", "42", "--quadrature", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "omega.csv").read_text().splitlines()
         assert lines[0] == "t,lambda,D,samples,seed,estimate,std_error"
         assert len(lines) == 3
+        assert float(lines[1].split(",")[5]) == est.estimate
         assert lines[2].split(",")[3] == "0"  # quadrature rows carry samples=0
