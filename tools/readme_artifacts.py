@@ -1,7 +1,9 @@
 """Hash every artifact of the README's CLI commands, for before/after diffs.
 
-    python tools/readme_artifacts.py > before.txt
-    python tools/readme_artifacts.py "nfgaps curve --q 101 --h 1 --raw" > after.txt
+    python tools/readme_artifacts.py > hashes.txt
+    python tools/readme_artifacts.py "nfgaps curve --q 101 --h 1 --raw" > hashes.txt
+
+Run it in two checkouts (say, before and after a change) and diff the outputs.
 
 Each `nfgaps ...` line of the README's code blocks, followed by any command
 lines given as arguments, runs as `python -m nfgaps.cli ... --out out` in a
