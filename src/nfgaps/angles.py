@@ -5,15 +5,19 @@ and measures the signed angle to every curve point.  The empirical gap
 distribution G(lambda) is the fraction of consecutive angular gaps of
 size at least lambda times the average gap.
 
-Ordering is decided in exact rational arithmetic: with t = a/b the slope
-comparison y1/(x1 + t*J^2) < y2/(x2 + t*J^2) reduces to an integer
-comparison, so the sequence order never depends on floating-point
-rounding.  At p ~ 1e5 neighboring gaps are ~4e-10 rad while the double
-error of the arctangent values is ~1e-17, so the angle *values* are safe
-in double precision once the order is fixed.
+The angular order is exact.  With t = a/b, point i precedes point j when
+y_i/(x_i + t*J^2) < y_j/(x_j + t*J^2), an integer comparison.  The order is
+found by a floating-point filter (Shewchuk, 1997): a stable argsort of a
+float64 key, then an exact rational re-sort of only those stretches of the
+sorted keys that the rounding bound of `angle_sequence` cannot separate.
+Exact ties (observer-collinear points) keep their input order.  At p ~ 1e5
+neighboring gaps are ~4e-10 rad while the double error of the arctangent
+values is ~1e-17, so the angle *values* are safe in double precision once
+the order is fixed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,18 +129,40 @@ class GapSample:
         return float(self.sorted_gaps[-1])
 
 
-def _point_array(points, J: int | None) -> tuple[list[tuple[int, int]], int]:
+# Unit roundoff of float64, and an absolute term that covers gradual underflow.
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1072
+
+
+def _coordinates(points, J: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """int64 coordinate arrays (x, y) and J of a point set."""
     if isinstance(points, CurvePointSet):
         if not points.centered:
             raise PreconditionError(
                 "angle computations need the centered point convention; "
                 "build the curve with build_curve()"
             )
-        return list(points.points), points.J
-    pts = [(int(x), int(y)) for (x, y) in points]
+        return points.x, points.y, points.J
     if J is None:
         raise PreconditionError("J must be given explicitly for a plain point list")
-    return pts, J
+    pts = [(int(x), int(y)) for (x, y) in points]
+    if any(abs(v) > 2 ** 53 for p in pts for v in p):
+        raise PreconditionError("point coordinates must not exceed 2^53 in magnitude")
+    xy = np.array(pts, dtype=np.int64).reshape(-1, 2)
+    return xy[:, 0], xy[:, 1], J
+
+
+def _separable(key: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Element i is True when every true key at sorted positions <= i lies
+    strictly below every true key at positions > i.
+
+    Each true key lies in [key - err, key + err]; the test compares the
+    running maximum of the upper ends with the running minimum of the lower
+    ends from the right, so it holds for bounds of any size.
+    """
+    upper = np.maximum.accumulate(key + err)
+    lower = np.minimum.accumulate((key - err)[::-1])[::-1]
+    return upper[:-1] < lower[1:]
 
 
 def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
@@ -145,23 +171,56 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     `points` is a centered CurvePointSet or an iterable of integer pairs
     (then J is required).  Ties (observer-collinear points) keep their
     input order and later produce zero gaps.
+
+    The order comes from the float key k = fl(y / d), d = fl(x + T),
+    T = fl(t*J^2), sorted by a stable argsort.  Let u = 2^-53 and
+    D = x + t*J^2 the exact denominator.  Correct rounding gives
+    |T - t*J^2| <= u*T and |d - (x + T)| <= u*d, so |d - D| <= u*(T + d);
+    with 4u*(T + d) <= d, |y/d - y/D| <= (4/3)*u*|y|*(T + d)/d^2, and the
+    division adds at most u*|k| (plus 2^-1075 if it underflows).  Each key
+    therefore carries the bound
+
+        err = 8u * (|k| + |y| * (T + d) / d^2) + 2^-1072,
+
+    which leaves more than 6u*(|k| + |y|(T + d)/d^2) of room for the
+    rounding of err and of k +- err themselves.  Integer coordinates of
+    magnitude at most 2^53 convert to float exactly.  A key whose d fails
+    4u*(T + d) <= d, or that is not finite, gets an infinite bound, which
+    puts every point in one stretch.  Between two adjacent sorted positions
+    the order is certain when all keys on the left, widened by their
+    bounds, stay below all widened keys on the right; each maximal stretch
+    without such a cut is re-sorted exactly by (y/(b*x + a*J^2), input
+    index).
     """
-    pts, J = _point_array(points, J)
-    if not pts:
+    xs, ys, J = _coordinates(points, J)
+    if len(xs) == 0:
         raise PreconditionError("point set is empty")
     t_frac = as_fraction(t)
     frame = ObserverFrame(t=t_frac, J=J)
     a, b = t_frac.numerator, t_frac.denominator
     aJ2 = a * J * J
+    T = float(Fraction(aJ2, b))
 
-    # Exact slope key: y / (x + t*J^2) ~ Fraction(y, b*x + a*J^2); the
-    # denominator is positive because the observer is left of the square.
-    order = sorted(range(len(pts)), key=lambda i: Fraction(pts[i][1], b * pts[i][0] + aJ2))
-    xs = np.array([pts[i][0] for i in order], dtype=np.float64)
-    ys = np.array([pts[i][1] for i in order], dtype=np.float64)
-    tJ2 = float(Fraction(aJ2, b))
-    angles = np.arctan2(ys, xs + tJ2)
-    return AngleSequence(angles=angles, order=np.array(order, dtype=np.int64), frame=frame)
+    d = xs + T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        key = ys / d
+        err = 8 * _U * (np.abs(key) + np.abs(ys) / d * ((T + d) / d)) + _TINY
+    trusted = (4 * _U * (T + d) <= d) & np.isfinite(key) & np.isfinite(err)
+    key = np.where(trusted, key, 0.0)
+    err = np.where(trusted, err, np.inf)
+
+    order = np.argsort(key, kind="stable")
+    # joined[k] = i: sorted positions i and i + 1 belong to one stretch.
+    joined = np.flatnonzero(~_separable(key[order], err[order]))
+    if len(joined):
+        starts = joined[np.r_[True, np.diff(joined) > 1]]
+        ends = joined[np.r_[np.diff(joined) > 1, True]] + 2
+        x_list, y_list = xs.tolist(), ys.tolist()
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            order[s:e] = sorted(order[s:e].tolist(),
+                                key=lambda i: (Fraction(y_list[i], b * x_list[i] + aJ2), i))
+    angles = np.arctan2(ys[order], d[order])
+    return AngleSequence(angles=angles, order=order, frame=frame)
 
 
 def normalized_gaps(seq: AngleSequence) -> GapSample:
@@ -195,10 +254,11 @@ def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float
     Output rows follow the *input* point order; the angularly last point
     carries None.
     """
-    pts, J = _point_array(points, J)
-    seq = angle_sequence(pts, t, J)
-    gaps = normalized_gaps(seq)
-    carried: list[float | None] = [None] * len(pts)
-    for k in range(seq.n - 1):
-        carried[int(seq.order[k])] = float(gaps.gaps[k])
-    return [(x, y, g) for (x, y), g in zip(pts, carried)]
+    if not isinstance(points, CurvePointSet):
+        points = list(points)
+    xs, ys, _ = _coordinates(points, J)
+    seq = angle_sequence(points, t, J)
+    carried = np.full(seq.n, np.nan)
+    carried[seq.order[:-1]] = normalized_gaps(seq).gaps
+    return [(x, y, None if math.isnan(g) else g)
+            for x, y, g in zip(xs.tolist(), ys.tolist(), carried.tolist())]

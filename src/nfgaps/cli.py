@@ -261,7 +261,11 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
         )
     files = {}
     if args.sum_b is not None:
-        b = [int(part) for part in args.sum_b.split(",")]
+        try:
+            b = [int(part) for part in args.sum_b.split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"--sum-b must be comma-separated integers; got {args.sum_b!r}") from None
         a = args.sum_a or 0
         if args.interval is not None:
             value = incomplete_sum(tup, a, b, args.interval)
@@ -282,6 +286,11 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
     return _write_csvs(out, files)
 
 
+# The one flag each scan kind reads as a list; it reads one value of the others.
+_SCAN_LIST_FLAG = {"convergence": "q", "h-independence": "h", "composite": "q",
+                   "equidistribution": None, "exponential": "t"}
+
+
 def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
     kind = args.kind
     grid = args.grid
@@ -289,6 +298,11 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
     if not args.q:
         what = {"convergence": "prime moduli", "composite": "modulus range"}.get(kind, "one prime")
         raise PreconditionError(f"--q ({what}) is required for {kind} scans")
+    for flag in ("q", "h", "t"):
+        values = getattr(args, flag)
+        if flag != _SCAN_LIST_FLAG[kind] and len(values) > 1:
+            raise PreconditionError(
+                f"--{flag} takes one value for {kind} scans; got {len(values)}")
     if kind == "convergence":
         reports, curves = convergence_scan(args.t[0], args.h[0], args.q, grid)
     elif kind == "h-independence":

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .modcurve import is_prime, mod_inverse
+from .modcurve import _check_array_modulus, _inverse_table, is_prime, mod_inverse
 
 __all__ = [
     "FracLinear",
@@ -43,14 +43,11 @@ __all__ = [
 
 @lru_cache(maxsize=32)
 def inverse_table(p: int) -> np.ndarray:
-    """Inverses mod a prime p for 1..p-1 (index 0 unused), by the linear recurrence."""
+    """Inverses mod a prime p for 1..p-1 (index 0 holds 0), by Fermat's n^(p-2)."""
     if not is_prime(p):
         raise PreconditionError(f"inverse table requires a prime modulus; got {p}")
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - (p // i) * inv[p % i]) % p
-    return inv
+    _check_array_modulus(p, "--p")
+    return _inverse_table(p)
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,7 @@ class FracLinear:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise PreconditionError(f"modulus must be prime; got {self.p}")
+        _check_array_modulus(self.p, "--p")
         for name in ("a", "b", "c", "e"):
             object.__setattr__(self, name, getattr(self, name) % self.p)
         if self.e == 0:

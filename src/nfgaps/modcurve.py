@@ -9,12 +9,17 @@ invertible mod q.  Points come in two coordinate conventions:
 * raw: representatives in [0, q-1].
 
 All arithmetic is exact integer arithmetic, so composite moduli work
-uniformly and q may be as large as memory allows.
+uniformly.  Curves are built from one int64 table of inverses mod q, a
+vectorised power n^(e) mod q (Fermat for prime q, Euler for composite q),
+whose products of two residues stay below q^2; q must therefore satisfy
+q^2 < 2^63, i.e. q <= 3037000499.  The scalar `mod_inverse` has no bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .errors import PreconditionError
 
@@ -35,6 +40,53 @@ def _check_modulus(q: int) -> None:
             f"modulus must be an odd integer >= 3 (centered representatives "
             f"are undefined for even moduli); got q={q}"
         )
+
+
+# The largest modulus whose residue products (below q^2) fit in int64.
+ARRAY_MODULUS_MAX = 3037000499
+
+
+def _check_array_modulus(q: int, flag: str) -> None:
+    """Reject q before any array is allocated when q^2 would overflow int64."""
+    if q > ARRAY_MODULUS_MAX:
+        raise PreconditionError(
+            f"{flag} must be at most {ARRAY_MODULUS_MAX} so that products of two "
+            f"residues fit in int64; got {q}"
+        )
+
+
+def _power_table(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    """base^e mod q elementwise, by square-and-multiply; overwrites base.
+
+    Every intermediate product is below q^2, so q must pass
+    `_check_array_modulus`.
+    """
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            np.multiply(result, base, out=result)
+            np.remainder(result, q, out=result)
+        e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, q, out=base)
+    return result
+
+
+def _inverse_table(q: int) -> np.ndarray:
+    """int64 table of length q: the inverse of n mod q in [1, q-1] at every
+    unit n, 0 at every non-unit.
+
+    A unit n has n^-1 = n^(phi(q)-1) mod q (Euler); for prime q that is
+    Fermat's n^(q-2), and 0 maps to 0 by itself.
+    """
+    n = np.arange(q, dtype=np.int64)
+    if is_prime(q):
+        return _power_table(n, q - 2, q)
+    units = np.gcd(n, q) == 1
+    inv = _power_table(n, int(np.count_nonzero(units)) - 1, q)
+    inv[~units] = 0
+    return inv
 
 
 def mod_inverse(n: int, q: int) -> int:
@@ -59,18 +111,39 @@ def mod_inverse_centered(n: int, q: int) -> int:
     return inv - q if inv > (q - 1) // 2 else inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvePointSet:
     """The integer points of one modular curve, plus its construction metadata.
 
-    Points are sorted by the second coordinate (which is injective over the
-    defining residues), giving a reproducible on-disk order.
+    `x` and `y` are read-only int64 coordinate arrays; points are sorted by
+    the second coordinate (which is injective over the defining residues),
+    giving a reproducible on-disk order.  Equality compares the metadata
+    and the coordinates.
     """
 
     q: int
     h: int
     centered: bool
-    points: tuple[tuple[int, int], ...]
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.x.flags.writeable = False
+        self.y.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurvePointSet):
+            return NotImplemented
+        return ((self.q, self.h, self.centered) == (other.q, other.h, other.centered)
+                and np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y))
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.h, self.centered))
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """The points as a fresh tuple of (x, y) Python int pairs."""
+        return tuple(zip(self.x.tolist(), self.y.tolist()))
 
     @property
     def J(self) -> int:
@@ -78,7 +151,7 @@ class CurvePointSet:
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.x)
 
     @property
     def diagonal(self) -> bool:
@@ -86,30 +159,28 @@ class CurvePointSet:
         return self.h % self.q == 0
 
     def xs(self) -> list[int]:
-        return [p[0] for p in self.points]
+        return self.x.tolist()
 
     def ys(self) -> list[int]:
-        return [p[1] for p in self.points]
+        return self.y.tolist()
 
 
 def _curve_points(q: int, h: int, centered: bool) -> CurvePointSet:
     _check_modulus(q)
+    _check_array_modulus(q, "--q")
     h = h % q
     J = (q - 1) // 2
-    pts = []
-    for n in range(q):
-        if gcd(n, q) != 1 or gcd(n + h, q) != 1:
-            continue
-        x = pow(n, -1, q)
-        y = pow(n + h, -1, q)
-        if centered:
-            if x > J:
-                x -= q
-            if y > J:
-                y -= q
-        pts.append((x, y))
-    pts.sort(key=lambda p: p[1])
-    return CurvePointSet(q=q, h=h, centered=centered, points=tuple(pts))
+    inv = _inverse_table(q)
+    # Walk the second coordinate upwards: y = inv(n + h), so n + h = inv(y).
+    lo = -J if centered else 0
+    y = np.arange(lo, lo + q, dtype=np.int64)
+    shifted = inv[y % q]
+    x = inv[(shifted - h) % q]
+    keep = (shifted != 0) & (x != 0)
+    x, y = x[keep], y[keep]
+    if centered:
+        x[x > J] -= q
+    return CurvePointSet(q=q, h=h, centered=centered, x=x, y=y)
 
 
 def build_curve(q: int, h: int) -> CurvePointSet:

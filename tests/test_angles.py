@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
@@ -17,6 +17,108 @@ def slope_order_oracle(points, t: Fraction, J: int):
     """Independent ordering oracle: sort by exact rational slope."""
     a, b = t.numerator, t.denominator
     return sorted(points, key=lambda p: Fraction(p[1], b * p[0] + a * J * J))
+
+
+@st.composite
+def random_point_sets(draw):
+    """Small point sets in the square with a random rational t > 1/J."""
+    J = draw(st.integers(1, 60))
+    b = draw(st.integers(1, 30))
+    a = draw(st.integers(b // J + 1, 200))
+    coord = st.integers(-J, J)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    return points, Fraction(a, b), J
+
+
+@st.composite
+def collinear_point_sets(draw):
+    """Points (x, s*k) on one line through the observer (-J^2/b, 0), t = 1/b,
+    among random points; returns the set, t, J and the collinear points.
+
+    From the observer the line runs along (P/b, s), so x = (k*P - J^2)/b,
+    an integer when k = J^2/P (mod b).  For J >= 2^27 the float x + t*J^2 is
+    inexact, and about a quarter of these tied groups get distinct float keys.
+    """
+    J = draw(st.one_of(st.integers(60, 10 ** 4), st.integers(2 ** 27, 1_500_000_000)))
+    b = draw(st.integers(1, 50))
+    P = draw(st.integers(J, 2 * J))
+    assume(math.gcd(P, b) == 1)
+    N = J * J
+    k_lo = -(-(N - b * J) // P)
+    k = k_lo + (N * pow(P, -1, b) - k_lo) % b
+    ks = list(range(k, min(J, (N + b * J) // P) + 1, b))
+    assume(len(ks) >= 2)
+    s = draw(st.sampled_from([-1, 1]))
+    tied = [((k * P - N) // b, s * k)
+            for k in draw(st.lists(st.sampled_from(ks), min_size=2, max_size=6, unique=True))]
+    coord = st.integers(-J, J)
+    others = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    points = draw(st.permutations(tied + others))
+    return points, Fraction(1, b), J, set(tied)
+
+
+@st.composite
+def near_tie_point_sets(draw):
+    """Pairs whose cross product about the observer is +-1, for J so large
+    that their float keys coincide or cross."""
+    J = draw(st.integers(2 ** 26, 1_500_000_000))
+    s = draw(st.sampled_from([-1, 1]))
+    if draw(st.booleans()):
+        # Same y = s, adjacent x: cross product -s for any integer t.
+        t = Fraction(draw(st.integers(1, 5)))
+        x = draw(st.integers(-J, J - 2))
+        pairs = [(x, s), (x + 1, s), (x + 2, s)]
+    else:
+        # t = 1, y and y + 1: (y + 1)(x1 + J^2) - y(x2 + J^2) = s.
+        t = Fraction(1)
+        y = draw(st.integers(J // 2, J - 1))
+        dx = -(-(J * J - J - s) // y)
+        x1 = y * dx + s - J * J
+        assume(x1 + dx <= J)
+        pairs = [(x1, y), (x1 + dx, y + 1)]
+    coord = st.integers(-J, J)
+    others = draw(st.lists(st.tuples(coord, coord), max_size=5))
+    return draw(st.permutations(pairs + others)), t, J
+
+
+def ordered_points(points, t, J):
+    return [points[i] for i in angle_sequence(points, t, J=J).order]
+
+
+class TestFloatFilteredOrder:
+    """The float key plus exact re-check against the rational sort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_point_sets())
+    def test_random_sets_match_oracle(self, case):
+        points, t, J = case
+        assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
+
+    @settings(max_examples=200, deadline=None)
+    @given(collinear_point_sets())
+    def test_observer_collinear_ties_keep_input_order(self, case):
+        points, t, J, tied = case
+        got = ordered_points(points, t, J)
+        assert got == slope_order_oracle(points, t, J)
+        assert [p for p in got if p in tied] == [p for p in points if p in tied]
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_point_sets())
+    def test_near_ties_one_unit_apart(self, case):
+        points, t, J = case
+        assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
+
+    def test_observer_just_left_of_square(self):
+        # x + t*J^2 = 1e-24 at x = -J: the float denominator rounds to 0, so
+        # the filter must fall back to the exact order for every point.
+        J = 1000
+        t = Fraction(1, J) + Fraction(1, 10 ** 30)
+        points = [(-J, 1), (-J, -1), (0, 5), (3, -7), (-J, 2), (J, J)]
+        assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
+
+    def test_oversized_coordinates_rejected(self):
+        with pytest.raises(PreconditionError):
+            angle_sequence([(2 ** 53 + 1, 0), (0, 1)], 3, J=10)
 
 
 class TestObserverFrame:

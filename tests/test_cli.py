@@ -178,6 +178,43 @@ class TestValidationErrors:
         assert run([*argv, "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["expsum", "--p", "101", "--sum-b", "2,x"], "--sum-b"),
+        (["scan", "--kind", "convergence", "--q", "101", "--h", "1", "2"], "--h"),
+        (["scan", "--kind", "convergence", "--q", "101", "--t", "2.76", "3"], "--t"),
+        (["scan", "--kind", "h-independence", "--q", "101", "103", "--h", "1", "2"], "--q"),
+        (["scan", "--kind", "h-independence", "--q", "101", "--h", "1", "2",
+          "--t", "2.76", "3"], "--t"),
+        (["scan", "--kind", "composite", "--q", "25", "27", "--h", "1", "2"], "--h"),
+        (["scan", "--kind", "composite", "--q", "25", "27", "--t", "1.5", "2"], "--t"),
+        (["scan", "--kind", "equidistribution", "--q", "101", "103"], "--q"),
+        (["scan", "--kind", "equidistribution", "--q", "101", "--h", "1", "2"], "--h"),
+        (["scan", "--kind", "equidistribution", "--q", "101", "--t", "2.76", "3"], "--t"),
+        (["scan", "--kind", "exponential", "--q", "101", "103", "--t", "3", "1/2"], "--q"),
+        (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "2", "--t", "3"], "--h"),
+    ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
+            "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
+            "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h"])
+    def test_flag_value_named(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["curve", "--q", "3037000501", "--h", "1"], "--q"),
+        (["gaps", "--q", "3037000501", "--h", "1", "--t", "3"], "--q"),
+        (["expsum", "--p", "3037000507", "--sum-b", "1,2"], "--p"),
+    ], ids=["curve", "gaps", "expsum"])
+    def test_modulus_beyond_int64(self, argv, flag, tmp_path, capsys, monkeypatch):
+        def no_table(q):
+            raise AssertionError("an inverse table was built")
+
+        monkeypatch.setattr("nfgaps.modcurve._inverse_table", no_table)
+        monkeypatch.setattr("nfgaps.expsum._inverse_table", no_table)
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestManifest:
     def test_schema_and_artifact_listing(self, tmp_path):

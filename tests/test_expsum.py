@@ -253,6 +253,13 @@ class TestInverseTable:
         with pytest.raises(PreconditionError):
             inverse_table(15)
 
+    def test_int64_bound(self):
+        # 3037000507 is prime and its residue products overflow int64.
+        with pytest.raises(PreconditionError, match="--p"):
+            inverse_table(3037000507)
+        with pytest.raises(PreconditionError, match="--p"):
+            FracLinear(p=3037000507, a=0, b=1, c=1, e=1)
+
 
 class TestExport:
     def test_sum_rows(self, tmp_path):

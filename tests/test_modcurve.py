@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nfgaps import (PreconditionError, build_curve, build_nf_curve,
                     is_prime, mod_inverse, mod_inverse_centered, nf_union)
 from nfgaps.cli import run
+from nfgaps.modcurve import ARRAY_MODULUS_MAX
 
 from conftest import brute_force_curve
 
@@ -100,12 +101,44 @@ class TestBuildCurve:
         with pytest.raises(PreconditionError):
             build_curve(10, 1)
 
-    @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(1, 50), h=st.integers(-200, 200))
-    def test_matches_definition(self, k, h):
-        q = 2 * k + 1
-        ps = build_curve(q, h)
-        assert set(ps.points) == brute_force_curve(q, h % q)
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.one_of(st.integers(1, 150).map(lambda k: 2 * k + 1),
+                       st.lists(st.sampled_from([3, 5, 7, 11, 13]), min_size=2, max_size=3)
+                       .map(math.prod)),
+           h=st.integers(-400, 400))
+    def test_matches_definition(self, q, h):
+        # odd q up to 301 plus products of small primes (prime powers included),
+        # both conventions, in the documented order
+        for build, centered in ((build_curve, True), (build_nf_curve, False)):
+            want = sorted(brute_force_curve(q, h % q, centered), key=lambda p: p[1])
+            assert list(build(q, h).points) == want
+
+    def test_value_equality(self):
+        ps = build_curve(101, 3)
+        assert ps == build_curve(101, 3 + 101) and hash(ps) == hash(build_curve(101, 3))
+        assert ps != build_curve(101, 4) and ps != build_nf_curve(101, 3)
+        with pytest.raises(ValueError):
+            ps.x[0] = 0
+
+
+class TestArrayModulusBound:
+    def test_bound_is_the_int64_limit(self):
+        assert ARRAY_MODULUS_MAX ** 2 < 2 ** 63 <= (ARRAY_MODULUS_MAX + 1) ** 2
+
+    def test_checked_before_the_table(self, monkeypatch):
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(q):
+            raise TableBuilt
+
+        monkeypatch.setattr("nfgaps.modcurve._inverse_table", no_table)
+        with pytest.raises(TableBuilt):
+            build_curve(ARRAY_MODULUS_MAX, 1)
+        with pytest.raises(PreconditionError, match="--q"):
+            build_curve(ARRAY_MODULUS_MAX + 2, 1)
+        with pytest.raises(PreconditionError, match="--q"):
+            build_nf_curve(ARRAY_MODULUS_MAX + 2, 1)
 
 
 class TestNFCurve:
