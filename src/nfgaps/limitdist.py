@@ -169,11 +169,11 @@ def _branch_table(region: Region, t: float) -> _Branch:
 def _check_domain(t: float, lam: float) -> tuple[float, float]:
     t = float(t)
     lam = float(lam)
-    if t < 1.0:
+    if not t >= 1.0:
         raise PreconditionError(
             f"no closed form for t < 1 (use the omega volume estimators); got t={t}"
         )
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise PreconditionError(f"lambda must be nonnegative; got {lam}")
     return t, lam
 

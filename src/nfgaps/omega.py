@@ -22,9 +22,12 @@ division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t, which is
 exact for x > 0 and extends continuously to the measure-zero slice x = 0.
 
 Monte Carlo sampling draws each sample's coordinates from a counter-based
-stream keyed by (seed, sample index), so the accept count is an integer
-that does not depend on chunking, evaluation order, or thread count: the
-estimate is reproducible bit for bit.
+stream keyed by (seed, sample index, slot), so the accept count is an
+integer that does not depend on chunking, evaluation order, or thread
+count: the estimate is reproducible bit for bit.  The slots are streamed:
+each block of samples generates one coordinate row at a time, applies that
+row's window and reuses the buffer, so memory per thread is O(block) for
+any D, however small t is.
 """
 from __future__ import annotations
 
@@ -52,7 +55,8 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 10_000
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20     # samples per thread job
+_BLOCK = 1 << 16     # samples per streamed block inside a job
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -71,7 +75,7 @@ def interference_order(t) -> int:
             raise PreconditionError(f"t must be positive; got {t}")
         return (2 * t.denominator) // t.numerator + 1
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise PreconditionError(f"t must be positive; got {t}")
     return int(math.floor(2.0 / t)) + 1
 
@@ -101,8 +105,8 @@ class OmegaSpec:
     D: int
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise PreconditionError(f"lambda must be nonnegative; got {self.lam}")
+        if not self.lam >= 0.0:
+            raise PreconditionError(f"lambda must be nonnegative (--lambda); got {self.lam}")
         if self.D < 1:
             raise PreconditionError(f"D must be a positive integer; got {self.D}")
         lo = 2.0 / self.D
@@ -137,10 +141,10 @@ def omega_contains(x: float, ys: Sequence[float], t: float, lam: float, D: int) 
     t = float(t)
     lam = float(lam)
     D = int(D)
-    if t <= 0.0:
+    if not t > 0.0:
         raise PreconditionError(f"t must be positive; got {t}")
-    if lam < 0.0:
-        raise PreconditionError(f"lambda must be nonnegative; got {lam}")
+    if not lam >= 0.0:
+        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
     rows = coordinate_offsets(D, t, lam)
     if len(ys) != len(rows):
         raise PreconditionError(f"expected {len(rows)} y-coordinates; got {len(ys)}")
@@ -159,10 +163,30 @@ def omega_contains(x: float, ys: Sequence[float], t: float, lam: float, D: int) 
     return True
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+class _SlotStream:
+    """Counter-based uniforms of samples start..start+count-1, one slot at a time.
+
+    Holds each sample's splitmix64 counter base seed + (i*slots)*GAMMA and
+    two uint64 scratch rows.  The uint64 sums wrap mod 2**64, so
+    base + (s+1)*GAMMA is the counter seed + (i*slots + s + 1)*GAMMA of
+    output number i*slots + s.
+    """
+
+    def __init__(self, seed: int, start: int, count: int, slots: int) -> None:
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        self._base = idx * np.uint64(slots) * _GAMMA + np.uint64(seed)
+        self._z, self._w = np.empty_like(idx), np.empty_like(idx)
+
+    def fill(self, slot: int, out: np.ndarray) -> None:
+        """Write the uniforms of one slot into out (float64, one per sample)."""
+        z, w = self._z, self._w
+        np.add(self._base, np.uint64((slot + 1) * int(_GAMMA) % 2 ** 64), out=z)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, shift, out=w)
+            z *= mult
+        z ^= np.right_shift(z, 31, out=w)
+        z >>= 11
+        np.multiply(z, 2.0 ** -53, out=out)
 
 
 def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarray:
@@ -170,17 +194,17 @@ def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarra
 
     Value (i, s) is splitmix64 output number i*slots + s for the given
     seed: a pure function of (seed, sample index, slot), independent of
-    how sampling is chunked or ordered.
+    how sampling is chunked or ordered.  The rows are stacked from the
+    per-slot kernel that omega_volume streams: it never builds this array,
+    but generates one slot of one block at a time, so its memory per
+    thread is O(block) for any D.
     """
     if not (0 <= seed < 2 ** 64):
         raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
-    idx = np.arange(start, start + count, dtype=np.uint64) * np.uint64(slots)
+    stream = _SlotStream(seed, start, count, slots)
     out = np.empty((slots, count), dtype=np.float64)
-    s = np.uint64(seed)
     for slot in range(slots):
-        z = s + (idx + np.uint64(slot + 1)) * _GAMMA
-        out[slot] = (_mix64(z) >> np.uint64(11)).astype(np.float64)
-    out *= 2.0 ** -53
+        stream.fill(slot, out[slot])
     return out
 
 
@@ -211,17 +235,40 @@ class VolumeEstimate:
 
 
 def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
+    """Accepted samples among start..start+count-1, streamed block by block.
+
+    Blocks cut the sample indices at multiples of _BLOCK.  Each holds x, y_0
+    and one reused row buffer: every other slot is generated into it, cut
+    by its row's window and overwritten by the next, so memory is
+    O(_BLOCK) for any D.
+    """
     D, t, lam = spec.D, spec.t, spec.lam
-    u = counter_uniforms(seed, start, count, spec.dims)
-    x4 = 2.0 * (1.0 - u[0])          # 4x with x = (1-u)/2 in (0, 1/2]
-    y0 = u[D] - 0.5                  # slot D carries y_0 (offset j=0)
-    ok = np.ones(count, dtype=bool)
-    for slot, j in enumerate(spec.rows, start=1):
-        if j == 0:
-            continue
-        v = x4 * (u[slot] - 0.5 - y0)
-        ok &= ~(((j - lam) * t <= v) & (v <= j * t))
-    return int(np.count_nonzero(ok))
+    end = start + count
+    cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
+    accepted = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        n = hi - lo
+        stream = _SlotStream(seed, lo, n, spec.dims)
+        x4, y0, v = np.empty(n), np.empty(n), np.empty(n)
+        hit, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        rejected = np.zeros(n, dtype=bool)
+        stream.fill(0, x4)
+        np.subtract(1.0, x4, out=x4)
+        x4 *= 2.0                        # 4x with x = (1-u)/2 in (0, 1/2]
+        stream.fill(D, y0)               # slot D carries y_0 (offset j=0)
+        y0 -= 0.5
+        for slot, j in enumerate(spec.rows, start=1):
+            if j == 0:
+                continue
+            stream.fill(slot, v)
+            v -= 0.5
+            v -= y0
+            v *= x4
+            np.greater_equal(v, (j - lam) * t, out=hit)
+            hit &= np.less_equal(v, j * t, out=below)
+            rejected |= hit
+        accepted += n - int(np.count_nonzero(rejected))
+    return accepted
 
 
 def omega_volume(t, lam: float, samples: int, seed: int,
@@ -281,8 +328,8 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
         raise PreconditionError(
             f"quadrature cross-check requires the interference-free range t > 2; got t={t}"
         )
-    if lam < 0.0:
-        raise PreconditionError(f"lambda must be nonnegative; got {lam}")
+    if not lam >= 0.0:
+        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
 
     def integrand(x: float) -> float:
         if x == 0.0:

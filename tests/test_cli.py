@@ -192,9 +192,13 @@ class TestValidationErrors:
         (["scan", "--kind", "equidistribution", "--q", "101", "--t", "2.76", "3"], "--t"),
         (["scan", "--kind", "exponential", "--q", "101", "103", "--t", "3", "1/2"], "--q"),
         (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "2", "--t", "3"], "--h"),
+        (["omega", "--t", "2.76", "--lambda", "nan", "--samples", "10000", "--quadrature"],
+         "--lambda"),
+        (["omega", "--t", "1.45", "--lambda", "nan", "--samples", "10000"], "--lambda"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
-            "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h"])
+            "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
+            "omega-nan-lambda-d1", "omega-nan-lambda-d2"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == 2

@@ -59,6 +59,10 @@ class TestClassify:
             classify_region(0.9, 0.5)
         with pytest.raises(PreconditionError):
             classify_region(2.0, -0.1)
+        with pytest.raises(PreconditionError):
+            limit_G(2.76, math.nan)
+        with pytest.raises(PreconditionError):
+            limit_G(math.nan, 0.5)
 
 
 class TestLimitG:

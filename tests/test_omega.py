@@ -1,12 +1,17 @@
+import hashlib
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfgaps import (OmegaSpec, PreconditionError, counter_uniforms, interference_order,
                     limit_G, omega_contains, omega_volume, omega_volume_quadrature)
 from nfgaps.cli import run
-from nfgaps.omega import coordinate_offsets
+from nfgaps.omega import _BLOCK, _count_chunk, coordinate_offsets
 
 from conftest import region_volume_G
 
@@ -118,6 +123,43 @@ class TestCounterStream:
         with pytest.raises(PreconditionError):
             counter_uniforms(-1, 0, 10, 2)
 
+    @pytest.mark.parametrize("args, digest", [
+        ((42, 0, 1000, 5), "b34570c1e9cf1538e456b74810d85880ee1ed8945c6e5551827cf909833e0f3b"),
+        ((7, 123457, 3000, 43),
+         "6033f375ac676b75c408896c94a99fd8a79ca9dfe241af7354d7daf630c200cd"),
+    ])
+    def test_pinned_stream(self, args, digest):
+        # sha256 of the stream as first released; any change to it moves
+        # every Monte Carlo artifact
+        assert hashlib.sha256(counter_uniforms(*args).tobytes()).hexdigest() == digest
+
+
+class TestStreamedCount:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(0.3, 4.0), lam=st.floats(0.0, 6.0),
+           seed=st.integers(0, 2 ** 64 - 1), block=st.integers(0, 3),
+           offset=st.integers(-800, 800), count=st.integers(1, 1600))
+    @example(t=1.45, lam=2.0, seed=42, block=1, offset=-700, count=1500)
+    def test_matches_per_point_reference(self, t, lam, seed, block, offset, count):
+        # the streamed count equals the count of counter_uniforms points that
+        # omega_contains accepts, across block edges and rows past D
+        spec = OmegaSpec.for_t(t, lam)
+        start = max(0, block * _BLOCK + offset)
+        u = counter_uniforms(seed, start, count, spec.dims)
+        expected = sum(omega_contains(0.5 * (1.0 - u[0, k]), u[1:, k] - 0.5,
+                                      spec.t, spec.lam, spec.D) for k in range(count))
+        assert _count_chunk(spec, seed, start, count) == expected
+
+    def test_memory_flat_in_d(self):
+        # D = 21: holding all 43 slots of one 2**20-sample chunk would take 344 MiB
+        tracemalloc.start()
+        try:
+            omega_volume(0.1, 1.0, 2 ** 20, seed=3, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
 
 class TestVolume:
     def test_trivial_full_and_empty(self):
@@ -191,6 +233,19 @@ class TestVolume:
             omega_volume(2.76, 0.5, 10 ** 5, seed=-3)
         with pytest.raises(PreconditionError):
             omega_volume(2.76, -0.5, 10 ** 5, seed=1)
+
+    def test_nan_rejected(self):
+        for t in (2.76, 1.45):
+            with pytest.raises(PreconditionError, match="--lambda"):
+                omega_volume(t, math.nan, 10 ** 5, seed=1)
+        with pytest.raises(PreconditionError, match="--lambda"):
+            omega_contains(0.25, [0.0, 0.4], t=3.0, lam=math.nan, D=1)
+        with pytest.raises(PreconditionError, match="--lambda"):
+            omega_volume_quadrature(2.76, math.nan)
+        with pytest.raises(PreconditionError):
+            interference_order(math.nan)
+        with pytest.raises(PreconditionError):
+            omega_contains(0.25, [0.0, 0.4], t=math.nan, lam=0.5, D=1)
 
 
 class TestQuadrature:
