@@ -44,11 +44,7 @@ def as_fraction(t) -> Fraction:
     Strings parse as exact decimals ("2.76" -> 69/25); floats use their
     exact binary value.
     """
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, str):
-        return Fraction(t)
-    if isinstance(t, (int, float)):
+    if isinstance(t, (Fraction, str, int, float)):
         return Fraction(t)
     raise PreconditionError(f"cannot interpret {t!r} as a rational number")
 

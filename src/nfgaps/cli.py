@@ -37,7 +37,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _grid(text: str) -> LambdaGrid:
-    return LambdaGrid.from_spec(text)
+    try:
+        return LambdaGrid.from_spec(text)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _interval(text: str) -> Interval:
@@ -96,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, nargs="+", required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--quadrature", action="store_true",
-                   help="also run the deterministic quadrature (t > 2 only)")
+                   help="also run the deterministic quadrature (t >= 1/10)")
 
     p = sub.add_parser("expsum", help="character sums and box counts for inverse-pair tuples")
     add_shared(p)
@@ -338,8 +341,10 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # usage errors (status 2), --help and --version
+        return exc.code
     try:
         out = _out_dir(args)
         artifacts = _HANDLERS[args.command](args, out)

@@ -11,6 +11,7 @@ order.  All results are deterministic functions of their configuration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,12 +44,13 @@ class LambdaGrid:
     lo: float = 0.0
     hi: float = 4.0
     step: float = 0.01
+    _MAX_POINTS = 10 ** 7     # not a field: a bound on every grid
 
     def __post_init__(self) -> None:
-        if self.step <= 0 or self.hi <= self.lo or self.lo < 0:
-            raise PreconditionError(
-                f"invalid lambda grid lo={self.lo}, hi={self.hi}, step={self.step}"
-            )
+        if not (0 <= self.lo < self.hi and 0 < self.step < math.inf
+                and (self.hi - self.lo) / self.step < self._MAX_POINTS):
+            raise PreconditionError(f"invalid grid lo={self.lo}, hi={self.hi}, step={self.step}"
+                                    f" (need 0 <= lo < hi, finite, <= {self._MAX_POINTS} points)")
 
     @classmethod
     def from_spec(cls, spec: str) -> "LambdaGrid":

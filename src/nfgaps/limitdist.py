@@ -217,9 +217,7 @@ def classify_region(t: float, lam: float) -> Region:
 
 def thresholds(t: float) -> tuple[float, ...]:
     """Ascending branch boundaries in lambda for a given t >= 1."""
-    t = float(t)
-    if t < 1.0:
-        raise PreconditionError(f"no closed form for t < 1; got t={t}")
+    t, _ = _check_domain(t, 0.0)
     if t >= 2.0:
         cuts = [1.0 - 2.0 / t, 1.0, 1.0 + 2.0 / t]
     else:
@@ -317,11 +315,11 @@ def tile_map(t_values: Sequence[float], lam_values: Sequence[float]) -> list[lis
     return [[classify_region(t, lam) for lam in lam_values] for t in t_values]
 
 
-def integral_of_G(t: float, epsabs: float = 1e-12) -> float:
+def integral_of_G(t: float) -> float:
     """Adaptive quadrature of G(t, .) over its support [0, 1 + 2/t]."""
     t = float(t)
     hi = 1.0 + 2.0 / t
     pts = [c for c in thresholds(t) if c < hi]
     val, _ = quad(lambda l: limit_G(t, l), 0.0, hi,
-                  points=pts, limit=400, epsabs=epsabs, epsrel=1e-12)
+                  points=pts, limit=400, epsabs=1e-12, epsrel=1e-12)
     return val

@@ -1,6 +1,5 @@
 """The limit region in [-1/2, 1/2]^(2D+1) (one more dimension per row past D):
-membership, Monte Carlo volume, and a deterministic quadrature cross-check
-for the interference-free case.
+membership, Monte Carlo volume, and a deterministic Gauss-Legendre volume.
 
 For an interference order D (the unique integer with 2/D < t <= 2/(D-1)),
 the region consists of points (x, y_{-D+1}, ..., y_D, ...) with x >= 0 such
@@ -17,9 +16,9 @@ already empty the region, so the extra rows stop at
 j < min(lambda, 1 + 2/t) + 2/t.
 
 Twice the Lebesgue measure of the region equals the limiting gap
-distribution value G(t, lambda).  Membership is tested in the
-division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t, which is
-exact for x > 0 and extends continuously to the measure-zero slice x = 0.
+distribution value G(t, lambda).  The windows are written once, in
+_windows, in the division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t,
+which is exact for x > 0 and extends continuously to the slice x = 0.
 
 Monte Carlo sampling draws each sample's coordinates from a counter-based
 stream keyed by (seed, sample index, slot), so the accept count is an
@@ -27,7 +26,8 @@ integer that does not depend on chunking, evaluation order, or thread
 count: the estimate is reproducible bit for bit.  The slots are streamed:
 each block of samples generates one coordinate row at a time, applies that
 row's window and reuses the buffer, so memory per thread is O(block) for
-any D, however small t is.
+any D, however small t is.  The quadrature reads the same windows for any
+t >= 1/10; its cost grows like rows^4, and MC is cheaper below that floor.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import PreconditionError
 
@@ -57,6 +56,8 @@ __all__ = [
 _MIN_SAMPLES = 10_000
 _CHUNK = 1 << 20     # samples per thread job
 _BLOCK = 1 << 16     # samples per streamed block inside a job
+_QUAD_MIN_T = 0.1    # quadrature floor: up to about 1 s at t = 0.1, 6 s at t = 0.05
+_X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -96,6 +97,18 @@ def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[in
     return rows
 
 
+def _windows(D: int, t: float, lam: float) -> tuple[list[int], list[tuple[int, float, float]]]:
+    """The rows coordinate_offsets(D, t, lam) and, per row j != 0, its index
+    there with its window ends (j - lam) t and j t: a point leaves the region
+    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
+    if not t > 0.0:
+        raise PreconditionError(f"t must be positive; got {t}")
+    if not lam >= 0.0:
+        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
+    rows = coordinate_offsets(D, t, lam)
+    return rows, [(i, (j - lam) * t, j * t) for i, j in enumerate(rows) if j != 0]
+
+
 @dataclass(frozen=True)
 class OmegaSpec:
     """Parameters (t, lambda, D) of one region; validates the t-range of D."""
@@ -105,10 +118,7 @@ class OmegaSpec:
     D: int
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0.0:
-            raise PreconditionError(f"lambda must be nonnegative (--lambda); got {self.lam}")
-        if self.D < 1:
-            raise PreconditionError(f"D must be a positive integer; got {self.D}")
+        _windows(self.D, self.t, self.lam)    # rejects t <= 0, lambda < 0 and D < 1
         lo = 2.0 / self.D
         hi = math.inf if self.D == 1 else 2.0 / (self.D - 1)
         if not (lo < self.t <= hi):
@@ -138,14 +148,8 @@ def omega_contains(x: float, ys: Sequence[float], t: float, lam: float, D: int) 
     The geometry is well-defined for any t > 0 and D >= 1, so unlike the
     volume estimators this test does not tie D to the canonical range of t.
     """
-    t = float(t)
-    lam = float(lam)
     D = int(D)
-    if not t > 0.0:
-        raise PreconditionError(f"t must be positive; got {t}")
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
-    rows = coordinate_offsets(D, t, lam)
+    rows, windows = _windows(D, float(t), float(lam))
     if len(ys) != len(rows):
         raise PreconditionError(f"expected {len(rows)} y-coordinates; got {len(ys)}")
     if not (0.0 <= x <= 0.5):
@@ -154,13 +158,7 @@ def omega_contains(x: float, ys: Sequence[float], t: float, lam: float, D: int) 
         if not (-0.5 <= y <= 0.5):
             raise PreconditionError(f"y-coordinate {y} outside [-1/2, 1/2]")
     y0 = ys[D - 1]
-    for j, yj in zip(rows, ys):
-        if j == 0:
-            continue
-        v = 4.0 * x * (yj - y0)
-        if (j - lam) * t <= v <= j * t:
-            return False
-    return True
+    return not any(lo <= 4.0 * x * (ys[i] - y0) <= hi for i, lo, hi in windows)
 
 
 class _SlotStream:
@@ -242,7 +240,7 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     by its row's window and overwritten by the next, so memory is
     O(_BLOCK) for any D.
     """
-    D, t, lam = spec.D, spec.t, spec.lam
+    _, windows = _windows(spec.D, spec.t, spec.lam)
     end = start + count
     cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
     accepted = 0
@@ -255,36 +253,31 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
         stream.fill(0, x4)
         np.subtract(1.0, x4, out=x4)
         x4 *= 2.0                        # 4x with x = (1-u)/2 in (0, 1/2]
-        stream.fill(D, y0)               # slot D carries y_0 (offset j=0)
+        stream.fill(spec.D, y0)          # slot D carries y_0 (offset j=0)
         y0 -= 0.5
-        for slot, j in enumerate(spec.rows, start=1):
-            if j == 0:
-                continue
-            stream.fill(slot, v)
+        for i, lo_end, hi_end in windows:
+            stream.fill(i + 1, v)        # slot 0 carries x
             v -= 0.5
             v -= y0
             v *= x4
-            np.greater_equal(v, (j - lam) * t, out=hit)
-            hit &= np.less_equal(v, j * t, out=below)
+            np.greater_equal(v, lo_end, out=hit)
+            hit &= np.less_equal(v, hi_end, out=below)
             rejected |= hit
         accepted += n - int(np.count_nonzero(rejected))
     return accepted
 
 
 def omega_volume(t, lam: float, samples: int, seed: int,
-                 threads: int | None = None, D: int | None = None) -> VolumeEstimate:
-    """Monte Carlo estimate of twice the region volume.
+                 threads: int | None = None) -> VolumeEstimate:
+    """Monte Carlo estimate of twice the region volume, D the interference order of t.
 
     Deterministic in (samples, seed) regardless of threads: chunks have a
     fixed size and per-chunk accept counts are integers summed exactly.
-    D defaults to the interference order of t; t < 1 (D >= 3) is supported
-    and is the only evaluator available there.
+    Any t > 0 is supported; below t = 1/10 it is the only evaluator.
     """
     if samples < _MIN_SAMPLES:
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
-    if D is None:
-        D = interference_order(t)
-    spec = OmegaSpec(t=float(t), lam=float(lam), D=D)
+    spec = OmegaSpec.for_t(t, lam)
     seed = int(seed)
     if not (0 <= seed < 2 ** 64):
         raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
@@ -304,40 +297,44 @@ def omega_volume(t, lam: float, samples: int, seed: int,
                           samples=samples, seed=seed, accepted=sum(counts))
 
 
-def _band_area(s: float) -> float:
-    """Area of {(u, v) in [-1/2,1/2]^2 : v - u <= s}."""
-    if s <= -1.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    if s <= 0.0:
-        return 0.5 * (1.0 + s) ** 2
-    return 1.0 - 0.5 * (1.0 - s) ** 2
-
-
 def omega_volume_quadrature(t: float, lam: float) -> float:
-    """Deterministic volume for D = 1 (t > 2) via semi-analytic quadrature.
+    """Twice the region volume by Gauss-Legendre quadrature, for finite t >= 1/10.
 
-    The inner two coordinates integrate in closed form to a clipped band
-    area, leaving a one-dimensional adaptive integral over x; absolute
-    accuracy is well below 1e-8.
+    Fix x and let w = 1/(4x): row j leaves y_j the length
+    1 - |[y_0 + (j - lam) t w, y_0 + j t w] & [-1/2, 1/2]|.  Between the y_0
+    breakpoints +-1/2 - k w (k a window end) the product over the rows whose
+    window meets the cube is a polynomial, which rows//2 + 2 nodes integrate
+    exactly.  The breakpoints change order only at the x cuts |k - k'|/4
+    (k' = 0 included); between two cuts the y_0 integral is a polynomial in
+    w, which 24 nodes in log x integrate to rounding even on a piece that
+    starts just above x = 0.
     """
-    t = float(t)
-    lam = float(lam)
-    if t <= 2.0:
-        raise PreconditionError(
-            f"quadrature cross-check requires the interference-free range t > 2; got t={t}"
-        )
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
-
-    def integrand(x: float) -> float:
-        if x == 0.0:
-            return 1.0 if lam <= 1.0 else 0.0
-        return _band_area((1.0 - lam) * t / (4.0 * x))
-
-    kink = abs(1.0 - lam) * t / 4.0
-    pts = [kink] if 0.0 < kink < 0.5 else []
-    val, _ = quad(integrand, 0.0, 0.5, points=pts, limit=200,
-                  epsabs=1e-12, epsrel=1e-12)
-    return 2.0 * val
+    t, lam = float(t), float(lam)
+    if not _QUAD_MIN_T <= t < math.inf:
+        raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
+    ends = np.array([w[1:] for w in _windows(interference_order(t), t, lam)[1]])
+    k_all = np.append(ends, 0.0)
+    cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
+    edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))
+    xs, xw = 0.5 + 0.5 * _X_NODES[0], 0.5 * _X_NODES[1]      # on (0, 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        # No window end crosses a cube face inside (a, b): which windows cover
+        # the cube, meet it or end inside it is read at its midpoint, 4x = x4.
+        x4 = 2.0 * (a + b)
+        if np.any((ends[:, 0] <= -x4) & (ends[:, 1] >= x4)):
+            continue                     # a window covers the cube for every y_0
+        lo, hi = ends[(ends[:, 1] >= -x4) & (ends[:, 0] <= x4)].T
+        k = k_all[(k_all != 0.0) & (np.abs(k_all) < x4)]
+        x = a * (b / a) ** xs if a > 0.0 else b * xs
+        wx = xw * (x * math.log(b / a) if a > 0.0 else b)
+        w = 0.25 / x[:, None]
+        brk = np.sort(np.hstack([np.tile([-0.5, 0.5], (len(x), 1)),       # the faces and
+                                 np.sign(k) * (0.5 - np.abs(k) * w)]))     # the ends inside
+        half = 0.5 * np.diff(brk)                                          # (x, piece)
+        yn, yw = np.polynomial.legendre.leggauss(len(lo) // 2 + 2)
+        y0 = ((brk[:, :-1] + half)[..., None] + half[..., None] * yn)[..., None]
+        w = w[..., None, None]                                             # (x, piece, node, row)
+        covered = np.minimum(y0 + hi * w, 0.5) - np.maximum(y0 + lo * w, -0.5)
+        total += ((1.0 - np.maximum(covered, 0.0)).prod(axis=-1) @ yw * half).sum(axis=1) @ wx
+    return float(2.0 * total)

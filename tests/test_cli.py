@@ -195,15 +195,25 @@ class TestValidationErrors:
         (["omega", "--t", "2.76", "--lambda", "nan", "--samples", "10000", "--quadrature"],
          "--lambda"),
         (["omega", "--t", "1.45", "--lambda", "nan", "--samples", "10000"], "--lambda"),
+        (["omega", "--t", "1/20", "--lambda", "1", "--samples", "10000", "--quadrature"],
+         "--t"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "2.76", "--grid", "0:nan:0.01"], "--grid"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "2.76", "--grid", "0:1e9:1e-3"], "--grid"),
+        (["limit", "--t", "2.76", "--grid", "0:1:0.5", "--tile-t", "1:inf:0.5",
+          "--tile-lambda", "0:1:0.5"], "--tile-t"),
+        (["limit", "--t", "2.76", "--grid", "0:1:0.5", "--tile-t", "1:3:0.5",
+          "--tile-lambda", "0:1:nan"], "--tile-lambda"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
-            "omega-nan-lambda-d1", "omega-nan-lambda-d2"])
+            "omega-nan-lambda-d1", "omega-nan-lambda-d2", "omega-quadrature-below-floor",
+            "grid-nan", "grid-too-many-points", "tile-t-inf", "tile-lambda-nan"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
+        # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["curve", "--q", "3037000501", "--h", "1"], "--q"),

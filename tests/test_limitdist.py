@@ -63,6 +63,9 @@ class TestClassify:
             limit_G(2.76, math.nan)
         with pytest.raises(PreconditionError):
             limit_G(math.nan, 0.5)
+        for t in (0.9, math.nan):
+            with pytest.raises(PreconditionError):
+                thresholds(t)
 
 
 class TestLimitG:

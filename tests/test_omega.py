@@ -256,16 +256,30 @@ class TestQuadrature:
         for t, lam in ((2.76, 0.8), (4.0, 1.4), (22.0, 1.05), (2.2, 0.3)):
             assert abs(omega_volume_quadrature(t, lam) - limit_G(t, lam)) < 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(1.0, 30.0), lam=st.floats(0.0, 4.0))
+    @example(t=1.45, lam=1.2)        # tile H5, with its pole
+    @example(t=1.12, lam=2.25)       # row 3, past D, cuts the region
+    @example(t=2.76, lam=1.0001)     # an x cut just above 0
+    def test_matches_closed_form_property(self, t, lam):
+        assert abs(omega_volume_quadrature(t, lam) - limit_G(t, lam)) <= 1e-12
+
+    @pytest.mark.parametrize("t, lam", [(0.9, 0.3), (0.7, 1.3), (0.5, 3.5), (0.1, 1.0)])
+    def test_matches_region_oracle_below_one(self, t, lam):
+        assert abs(omega_volume_quadrature(t, lam) - region_volume_G(t, lam)) <= 1e-12
+
     def test_matches_monte_carlo(self):
-        for t in (2.2, 2.76, 5.0, 22.0):
+        for t in (0.5, 1.45, 2.2, 2.76, 5.0, 22.0):
             lam = 0.9
             est = omega_volume(t, lam, 10 ** 6, seed=42)
             tol = max(3 * est.std_error, 1e-9)
             assert abs(est.estimate - omega_volume_quadrature(t, lam)) <= tol
 
-    def test_interference_range_rejected(self):
-        with pytest.raises(PreconditionError):
-            omega_volume_quadrature(1.8, 0.5)
+    def test_t_outside_domain_rejected(self):
+        # the domain is finite t >= 1/10, below which Monte Carlo is cheaper
+        for t in (0.0, -1.0, math.nan, 0.09, math.inf):
+            with pytest.raises(PreconditionError, match="--t"):
+                omega_volume_quadrature(t, 0.5)
 
 
 class TestExport:
