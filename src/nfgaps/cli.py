@@ -136,30 +136,26 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _flag_value(value):
+    if isinstance(value, list):
+        return [_flag_value(v) for v in value]
+    if isinstance(value, LambdaGrid):
+        return f"{value.lo}:{value.hi}:{value.step}"
+    if isinstance(value, Interval):
+        return f"{value.lo}:{value.hi}"
+    return str(value) if isinstance(value, (Fraction, Path)) else value
+
+
 def _flags_dict(args: argparse.Namespace) -> dict:
-    flags = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("command",):
-            continue
-        if isinstance(value, Fraction):
-            value = str(value)
-        elif isinstance(value, list):
-            value = [str(v) if isinstance(v, Fraction) else
-                     (f"{v.lo}:{v.hi}" if isinstance(v, Interval) else v) for v in value]
-        elif isinstance(value, LambdaGrid):
-            value = f"{value.lo}:{value.hi}:{value.step}"
-        elif isinstance(value, Interval):
-            value = f"{value.lo}:{value.hi}"
-        elif isinstance(value, Path):
-            value = str(value)
-        flags[key] = value
-    return flags
+    return {key: _flag_value(value) for key, value in sorted(vars(args).items())
+            if key != "command"}
 
 
 def _write_points(path: Path, ps: CurvePointSet) -> None:
     """Metadata block (q,h,centered) followed by one x,y row per point."""
     write_csv(path, ["q", "h", "centered"],
-              [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y"), *ps.points])
+              [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y"),
+               *zip(ps.x.tolist(), ps.y.tolist())])
 
 
 def _write_gap_curve(path: Path, lams, curve) -> None:

@@ -63,7 +63,7 @@ class LambdaGrid:
         return cls(lo=lo, hi=hi, step=step)
 
     def values(self) -> np.ndarray:
-        n = int(round((self.hi - self.lo) / self.step))
+        n = math.floor((self.hi - self.lo) / self.step * (1.0 + 1e-9))   # slack for rounding
         return np.round(self.lo + self.step * np.arange(n + 1), 12)
 
 
@@ -89,6 +89,12 @@ def sup_distance(curve_a: np.ndarray, curve_b: np.ndarray,
     diffs = np.abs(np.asarray(curve_a) - np.asarray(curve_b))
     i = int(np.argmax(diffs))
     return float(diffs[i]), float(grid[i])
+
+
+def _report(config: dict, curve_a: np.ndarray, curve_b: np.ndarray,
+            grid: LambdaGrid) -> DistanceReport:
+    dist, arg = sup_distance(curve_a, curve_b, grid.values())
+    return DistanceReport(config=config, sup_distance=dist, argmax_lambda=arg)
 
 
 def empirical_gap_curve(q: int, h: int, t, grid: LambdaGrid = DEFAULT_GRID) -> np.ndarray:
@@ -130,10 +136,7 @@ def convergence_scan(t, h: int, primes: Sequence[int],
         if h % p == 0:
             raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
         emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
-        dist, arg = sup_distance(emp, ref, grid.values())
-        reports.append(DistanceReport(
-            config={"q": p, "h": h, "t": float(t_frac)},
-            sup_distance=dist, argmax_lambda=arg))
+        reports.append(_report({"q": p, "h": h, "t": float(t_frac)}, emp, ref, grid))
     return reports, curves
 
 
@@ -150,11 +153,8 @@ def h_independence(t, p: int, h_list: Sequence[int],
     reports = []
     for i, h1 in enumerate(h_list):
         for h2 in h_list[i + 1:]:
-            dist, arg = sup_distance(curves[p, h1, t_frac], curves[p, h2, t_frac],
-                                     grid.values())
-            reports.append(DistanceReport(
-                config={"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
-                sup_distance=dist, argmax_lambda=arg))
+            reports.append(_report({"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
+                                   curves[p, h1, t_frac], curves[p, h2, t_frac], grid))
     return reports, curves
 
 
@@ -176,10 +176,8 @@ def composite_contrast(q_values: Sequence[int], t, h: int,
         if q % 2 == 0:
             continue
         emp = curves[q, h, t_frac] = empirical_gap_curve(q, h, t_frac, grid)
-        dist, arg = sup_distance(emp, ref, grid.values())
-        reports.append(DistanceReport(
-            config={"q": q, "h": h, "t": float(t_frac), "prime": is_prime(q)},
-            sup_distance=dist, argmax_lambda=arg))
+        reports.append(_report({"q": q, "h": h, "t": float(t_frac), "prime": is_prime(q)},
+                               emp, ref, grid))
     return reports, curves
 
 
@@ -205,8 +203,5 @@ def exponential_limit_scan(p: int, h: int, t_list: Sequence,
     for t in t_list:
         t_frac = as_fraction(t)
         emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
-        dist, arg = sup_distance(emp, ref, grid.values())
-        reports.append(DistanceReport(
-            config={"q": p, "h": h, "t": float(t_frac)},
-            sup_distance=dist, argmax_lambda=arg))
+        reports.append(_report({"q": p, "h": h, "t": float(t_frac)}, emp, ref, grid))
     return reports, curves

@@ -157,10 +157,7 @@ def _phases(tup: FracLinearTuple, a: int, b: Sequence[int],
     if len(b) != tup.d:
         raise PreconditionError(f"need {tup.d} coefficients b; got {len(b)}")
     tables = tup.value_tables()
-    mask = np.ones(len(xs), dtype=bool)
-    for pole in tup.poles:
-        mask &= xs != pole
-    xs = xs[mask]
+    xs = xs[~np.isin(xs, tup.poles)]
     phase = (a % p) * xs % p
     for bj, table in zip(b, tables):
         phase = (phase + (bj % p) * table[xs]) % p
@@ -220,9 +217,7 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
         )
     tables = tup.value_tables()
     xs = np.arange(p, dtype=np.int64)
-    mask = np.ones(p, dtype=bool)
-    for pole in tup.poles:
-        mask &= xs != pole
+    mask = ~np.isin(xs, tup.poles)
     grid = np.zeros((p,) * (d + 1))
     grid[tuple([xs[mask]] + [t[xs[mask]] for t in tables])] = 1.0
     # ifftn uses e(+...) so this is S up to the overall 1/p^(d+1) factor

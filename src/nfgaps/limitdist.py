@@ -20,11 +20,12 @@ Every branch is transcribed once into a coefficient table of the shape
                     + sum_i (a_i + b_i lam) log(u0_i + u1_i lam)
                     + sum_j c_j / (lam - k_j) ]
 
-and both the value and the analytic lambda-derivative are generated from
-that table, so the density can never drift from the distribution.  The
-products (a_i + b_i lam) log(u_i) have removable singularities where the
-coefficient and the log argument vanish together (e.g. at lam = 1); these
-evaluate to their limit 0, never by epsilon-fudging.
+and the value, the analytic lambda-derivative and the antiderivative are
+all generated from that table, so neither the density nor the exact mass
+can drift from the distribution.  The products (a_i + b_i lam) log(u_i)
+have removable singularities where the coefficient and the log argument
+vanish together (e.g. at lam = 1); these evaluate to their limit 0, never
+by epsilon-fudging.
 
 G is continuously differentiable in lambda except at lam = 1, where the
 density has an integrable logarithmic spike.
@@ -35,8 +36,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.integrate import quad
 
 from .errors import PreconditionError, SingularPointError
 
@@ -178,6 +177,20 @@ def _check_domain(t: float, lam: float) -> tuple[float, float]:
     return t, lam
 
 
+def _tiles(t: float) -> list[tuple[float, Region]]:
+    """The branches of G(t, .) in lambda order, each paired with its right end:
+    the one tile list that classify_region, thresholds and integral_of_G read."""
+    if t >= 2.0:
+        return [(1.0 - 2.0 / t, Region.ONE), (1.0, Region.C2),
+                (1.0 + 2.0 / t, Region.C3), (math.inf, Region.ZERO)]
+    if t >= 4.0 / 3.0:
+        head = [(2.0 / t - 1.0, Region.H1), (2.0 - 2.0 / t, Region.H2)]
+    else:
+        head = [(2.0 - 2.0 / t, Region.H1), (2.0 / t - 1.0, Region.H7)]
+    return head + [(1.0, Region.H3), (3.0 - 2.0 / t, Region.H4), (2.0, Region.H5),
+                   (1.0 + 2.0 / t, Region.H6), (math.inf, Region.ZERO)]
+
+
 def classify_region(t: float, lam: float) -> Region:
     """Active branch at (t, lambda); boundaries follow half-open conventions.
 
@@ -186,43 +199,16 @@ def classify_region(t: float, lam: float) -> Region:
     Branch continuity makes the choice observationally irrelevant.
     """
     t, lam = _check_domain(t, lam)
-    if t >= 2.0:
-        if lam <= 1.0 - 2.0 / t:
-            return Region.ONE
-        if lam < 1.0:
-            return Region.C2
-        if lam < 1.0 + 2.0 / t:
-            return Region.C3
-        return Region.ZERO
-    if t >= 4.0 / 3.0:
-        if lam <= 2.0 / t - 1.0:
-            return Region.H1
-        if lam < 2.0 - 2.0 / t:
-            return Region.H2
-    else:
-        if lam <= 2.0 - 2.0 / t:
-            return Region.H1
-        if lam < 2.0 / t - 1.0:
-            return Region.H7
-    if lam < 1.0:
-        return Region.H3
-    if lam < 3.0 - 2.0 / t:
-        return Region.H4
-    if lam < 2.0:
-        return Region.H5
-    if lam < 1.0 + 2.0 / t:
-        return Region.H6
-    return Region.ZERO
+    tiles = _tiles(t)
+    if lam <= tiles[0][0]:
+        return tiles[0][1]
+    return next(region for end, region in tiles if lam < end)
 
 
 def thresholds(t: float) -> tuple[float, ...]:
     """Ascending branch boundaries in lambda for a given t >= 1."""
     t, _ = _check_domain(t, 0.0)
-    if t >= 2.0:
-        cuts = [1.0 - 2.0 / t, 1.0, 1.0 + 2.0 / t]
-    else:
-        cuts = [2.0 / t - 1.0, 2.0 - 2.0 / t, 1.0, 3.0 - 2.0 / t, 2.0, 1.0 + 2.0 / t]
-    return tuple(sorted(set(c for c in cuts if c > 0.0)))
+    return tuple(sorted({end for end, _ in _tiles(t) if 0.0 < end < math.inf}))
 
 
 def branch_value(region: Region, t: float, lam: float) -> float:
@@ -282,6 +268,27 @@ def branch_derivative(region: Region, t: float, lam: float) -> float:
     return acc / br.den
 
 
+def _antiderivative(region: Region, t: float, lam: float) -> float:
+    """A lambda-antiderivative of one branch, generated from the same table.
+
+    A log term (a + b lam) log u, u = u0 + u1 lam, is (A + B u) log u with
+    B = b/u1 and A = a - B u0; its antiderivative [A (u log u - u) + B (u^2
+    log u / 2 - u^2 / 4)] / u1 tends to 0 as u -> 0 (u < 0 is off the tile).
+    """
+    br = _branch_table(region, t)
+    acc = sum(p * lam ** (k + 1) / (k + 1) for k, p in enumerate(br.poly))
+    a, b = br.log_2t
+    if a != 0.0 or b != 0.0:
+        acc += (a + 0.5 * b * lam) * lam * math.log(2.0 / t)
+    for (ai, bi, u0, u1) in br.logs:
+        u = u0 + u1 * lam
+        if u > 0.0:
+            B, log_u = bi / u1, math.log(u)
+            acc += ((ai - B * u0) * u * (log_u - 1.0) + B * u * u * (0.5 * log_u - 0.25)) / u1
+    acc += sum(c * math.log(abs(lam - k)) for c, k in br.poles)
+    return acc / br.den
+
+
 def limit_G(t: float, lam: float) -> float:
     """Limiting gap distribution: fraction of normalized gaps >= lambda."""
     return branch_value(classify_region(t, lam), float(t), float(lam))
@@ -316,10 +323,11 @@ def tile_map(t_values: Sequence[float], lam_values: Sequence[float]) -> list[lis
 
 
 def integral_of_G(t: float) -> float:
-    """Adaptive quadrature of G(t, .) over its support [0, 1 + 2/t]."""
-    t = float(t)
-    hi = 1.0 + 2.0 / t
-    pts = [c for c in thresholds(t) if c < hi]
-    val, _ = quad(lambda l: limit_G(t, l), 0.0, hi,
-                  points=pts, limit=400, epsabs=1e-12, epsrel=1e-12)
-    return val
+    """Exact integral of G(t, .) over its support [0, 1 + 2/t], tile by tile."""
+    t, _ = _check_domain(t, 0.0)
+    total = lo = 0.0
+    for end, region in _tiles(t)[:-1]:     # the last tile, ZERO, adds nothing
+        if end > lo:
+            total += _antiderivative(region, t, end) - _antiderivative(region, t, lo)
+            lo = end
+    return total

@@ -69,7 +69,8 @@ def interference_order(t) -> int:
     """The unique D with 2/D < t <= 2/(D-1); D = 1 means t > 2.
 
     Boundaries t = 2/(D-1) belong to the larger D (e.g. t = 2 gives D = 2).
-    Accepts exact rationals for exact boundary handling.
+    Accepts exact rationals for exact boundary handling.  A float t gets the
+    D with fl(2/D) < t <= fl(2/(D-1)), the range that OmegaSpec checks.
     """
     if isinstance(t, Fraction):
         if t <= 0:
@@ -78,7 +79,11 @@ def interference_order(t) -> int:
     t = float(t)
     if not t > 0.0:
         raise PreconditionError(f"t must be positive; got {t}")
-    return int(math.floor(2.0 / t)) + 1
+    D = int(math.floor(2.0 / t)) + 1
+    # fl(2/t) can round across an integer (2/1e-5 gives 199999.99999999997)
+    if not 2.0 / D < t:
+        return D + 1
+    return D - 1 if D > 1 and t > 2.0 / (D - 1) else D
 
 
 def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[int]:
@@ -97,14 +102,18 @@ def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[in
     return rows
 
 
-def _windows(D: int, t: float, lam: float) -> tuple[list[int], list[tuple[int, float, float]]]:
-    """The rows coordinate_offsets(D, t, lam) and, per row j != 0, its index
-    there with its window ends (j - lam) t and j t: a point leaves the region
-    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
+def _check_t_lam(t: float, lam: float) -> None:
     if not t > 0.0:
         raise PreconditionError(f"t must be positive; got {t}")
     if not lam >= 0.0:
         raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
+
+
+def _windows(D: int, t: float, lam: float) -> tuple[list[int], list[tuple[int, float, float]]]:
+    """The rows coordinate_offsets(D, t, lam) and, per row j != 0, its index
+    there with its window ends (j - lam) t and j t: a point leaves the region
+    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
+    _check_t_lam(t, lam)
     rows = coordinate_offsets(D, t, lam)
     return rows, [(i, (j - lam) * t, j * t) for i, j in enumerate(rows) if j != 0]
 
@@ -118,12 +127,11 @@ class OmegaSpec:
     D: int
 
     def __post_init__(self) -> None:
-        _windows(self.D, self.t, self.lam)    # rejects t <= 0, lambda < 0 and D < 1
-        lo = 2.0 / self.D
-        hi = math.inf if self.D == 1 else 2.0 / (self.D - 1)
-        if not (lo < self.t <= hi):
+        _check_t_lam(self.t, self.lam)
+        order = interference_order(self.t)     # the range check itself
+        if self.D != order:
             raise PreconditionError(
-                f"t={self.t} is outside (2/D, 2/(D-1)] = ({lo}, {hi}] for D={self.D}"
+                f"t={self.t} is outside (2/D, 2/(D-1)] for D={self.D}; its order is {order}"
             )
 
     @classmethod
@@ -171,6 +179,8 @@ class _SlotStream:
     """
 
     def __init__(self, seed: int, start: int, count: int, slots: int) -> None:
+        if not (0 <= seed < 2 ** 64):
+            raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
         idx = np.arange(start, start + count, dtype=np.uint64)
         self._base = idx * np.uint64(slots) * _GAMMA + np.uint64(seed)
         self._z, self._w = np.empty_like(idx), np.empty_like(idx)
@@ -197,8 +207,6 @@ def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarra
     but generates one slot of one block at a time, so its memory per
     thread is O(block) for any D.
     """
-    if not (0 <= seed < 2 ** 64):
-        raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
     stream = _SlotStream(seed, start, count, slots)
     out = np.empty((slots, count), dtype=np.float64)
     for slot in range(slots):
@@ -279,8 +287,6 @@ def omega_volume(t, lam: float, samples: int, seed: int,
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
     spec = OmegaSpec.for_t(t, lam)
     seed = int(seed)
-    if not (0 <= seed < 2 ** 64):
-        raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
     starts = list(range(0, samples, _CHUNK))
     sizes = [min(_CHUNK, samples - s) for s in starts]
     if threads is None:

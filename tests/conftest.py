@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nfgaps import DEFAULT_GRID, angle_sequence, build_curve, empirical_G, normalized_gaps
+from nfgaps import (DEFAULT_GRID, angle_sequence, build_curve, empirical_G, limit_G,
+                    normalized_gaps, thresholds)
 
 
 def brute_force_curve(q: int, h: int, centered: bool = True) -> set[tuple[int, int]]:
@@ -51,6 +52,16 @@ def _piecewise_quad(f, lo: float, hi: float, cuts) -> float:
     edges.append(hi)
     return sum(quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
                for a, b in zip(edges, edges[1:]))
+
+
+def quad_integral_of_G(t: float) -> float:
+    """Adaptive quadrature of G(t, .) over its support [0, 1 + 2/t], with
+    the branch thresholds as break points."""
+    hi = 1.0 + 2.0 / t
+    pts = [c for c in thresholds(t) if c < hi]
+    val, _ = quad(lambda lam: limit_G(t, lam), 0.0, hi,
+                  points=pts, limit=400, epsabs=1e-12, epsrel=1e-12)
+    return val
 
 
 def region_volume_G(t: float, lam: float) -> float:

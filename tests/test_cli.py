@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +265,12 @@ class TestProcessLevel:
              "--frobnicate", "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency: the package must not import it.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, nfgaps.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -21,6 +21,14 @@ class TestLambdaGrid:
         grid = LambdaGrid.from_spec("0:3:0.5")
         assert grid.values().tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
+    def test_stops_at_hi(self):
+        assert LambdaGrid.from_spec("0:1:0.35").values().tolist() == [0.0, 0.35, 0.7]
+        assert LambdaGrid.from_spec("0:4:0.7").values()[-1] == 3.5
+        # hi stays when the step divides the range up to rounding
+        for spec, n in (("0:4:0.01", 401), ("0:0.7:0.1", 8), ("1:3:0.05", 41)):
+            values = LambdaGrid.from_spec(spec).values()
+            assert len(values) == n and values[-1] == float(spec.split(":")[1])
+
     def test_bad_specs(self):
         for spec in ("0:3", "a:b:c", "1:0:0.1", "0:1:0"):
             with pytest.raises(PreconditionError):

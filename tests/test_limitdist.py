@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfgaps import (PreconditionError, Region, SingularPointError, branch_derivative,
                     branch_value, classify_region, integral_of_G, limit_G,
                     limit_density, thresholds, tile_map)
 from nfgaps.cli import run
 
-from conftest import region_volume_G
+from conftest import quad_integral_of_G, region_volume_G
 
 T_SWEEP = [1.05, 1.12, 1.3, 4 / 3, 1.45, 1.9, 2.0, 2.76, 5.0, 22.0]
 
@@ -156,6 +158,76 @@ class TestMass:
         # the old H5 gave 0.03088 and the full region gives 0.03018.
         for t in (1.05, 1.12, 1.3, 1.45):
             assert abs(integral_of_G(t) - 1.0) < 1e-8, t
+
+
+class TestExactMass:
+    """integral_of_G sums table antiderivatives over the tiles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(1.0, 30.0))
+    @example(t=1.0)          # the H1, H3 and H4 tiles are empty
+    @example(t=4 / 3)        # the H2 tile is empty
+    @example(t=2.0)          # the ONE tile is empty
+    def test_matches_quad_oracle(self, t):
+        assert abs(integral_of_G(t) - quad_integral_of_G(t)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(1.0, 30.0))
+    @example(t=1.0)
+    @example(t=4 / 3)
+    @example(t=2.0)
+    def test_unit_mass(self, t):
+        assert abs(integral_of_G(t) - 1.0) <= 1e-12
+
+    def test_infinite_t(self):
+        # G(inf, .) is 1 up to lambda = 1; the C2 and C3 tiles are empty
+        assert integral_of_G(math.inf) == 1.0
+
+
+def _classify_oracle(t: float, lam: float) -> Region:
+    """The tessellation as explicit threshold comparisons, row by row."""
+    if t >= 2.0:
+        if lam <= 1.0 - 2.0 / t:
+            return Region.ONE
+        return Region.C2 if lam < 1.0 else Region.C3 if lam < 1.0 + 2.0 / t else Region.ZERO
+    if t >= 4.0 / 3.0:
+        if lam <= 2.0 / t - 1.0:
+            return Region.H1
+        if lam < 2.0 - 2.0 / t:
+            return Region.H2
+    else:
+        if lam <= 2.0 - 2.0 / t:
+            return Region.H1
+        if lam < 2.0 / t - 1.0:
+            return Region.H7
+    for end, region in ((1.0, Region.H3), (3.0 - 2.0 / t, Region.H4), (2.0, Region.H5),
+                        (1.0 + 2.0 / t, Region.H6)):
+        if lam < end:
+            return region
+    return Region.ZERO
+
+
+class TestTileList:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(st.floats(1.0, 2.5), st.floats(1.0, 1000.0)),
+           lam=st.floats(0.0, 4.0))
+    @example(t=1.0, lam=1.0)
+    @example(t=4 / 3, lam=0.5)
+    @example(t=2.0, lam=0.0)
+    def test_classify_matches_oracle(self, t, lam):
+        assert classify_region(t, lam) is _classify_oracle(t, lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(st.floats(1.0, 2.5), st.floats(1.0, 1000.0)))
+    @example(t=1.0)
+    @example(t=4 / 3)
+    @example(t=2.0)
+    def test_thresholds_classify_like_oracle(self, t):
+        cuts = ([1.0 - 2.0 / t, 1.0, 1.0 + 2.0 / t] if t >= 2.0 else
+                [2.0 / t - 1.0, 2.0 - 2.0 / t, 1.0, 3.0 - 2.0 / t, 2.0, 1.0 + 2.0 / t])
+        assert thresholds(t) == tuple(sorted({c for c in cuts if c > 0.0}))
+        for tau in (0.0, *thresholds(t)):
+            assert classify_region(t, tau) is _classify_oracle(t, tau)
 
 
 class TestRegionOracle:

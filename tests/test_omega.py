@@ -33,6 +33,26 @@ class TestInterferenceOrder:
         with pytest.raises(PreconditionError):
             interference_order(0)
 
+    @pytest.mark.parametrize("t", [1e-5, 2e-5, 4e-5, 8e-5])
+    def test_float_rounding_onto_boundary(self, t):
+        # fl(2/t) lands just below the integer 2/t, yet fl(2/D) equals t:
+        # the float order is the larger D, like the decimal's exact order.
+        spec = OmegaSpec.for_t(t, 1.0)
+        assert spec.D == interference_order(Fraction(str(t)))
+
+    def test_exact_path_unchanged(self):
+        assert interference_order(Fraction(1, 10)) == 21
+        assert interference_order(Fraction(1, 20)) == 41
+        assert OmegaSpec.for_t(Fraction(1, 20), 0.5).D == 41
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(1e-6, 3.2))
+    @example(t=1e-5)
+    @example(t=float(Fraction(2, 93)))
+    def test_for_t_accepts_every_float(self, t):
+        spec = OmegaSpec.for_t(t, 0.5)
+        assert 2.0 / spec.D < t and (spec.D == 1 or t <= 2.0 / (spec.D - 1))
+
 
 class TestOmegaSpec:
     def test_validates_range(self):
