@@ -22,7 +22,7 @@ from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
                      neighbor_flip_tuple)
 from .limitdist import classify_region, limit_density, limit_G, tile_map
 from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
-from .omega import interference_order, omega_volume, omega_volume_quadrature
+from .omega import omega_volume, omega_volume_quadrature
 from .output import fmt_float, manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
@@ -30,10 +30,12 @@ _OUT_ENV = "NFGAPS_OUT"
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a rational number (use e.g. '2.76' or '69/25')")
+        value = Fraction(text)
+        float(value)        # every command also reads --t as a float
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number in the float "
+                                         "range (use e.g. '2.76' or '69/25')") from None
+    return value
 
 
 def _grid(text: str) -> LambdaGrid:
@@ -174,6 +176,8 @@ def _write_csvs(out: Path, files: dict) -> list[str]:
 def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     artifacts = []
     if args.union:
+        if args.h is not None:
+            raise PreconditionError("--h takes no value with --union, which exports every shift")
         union_dir = out / f"union_q{args.q}"
         union_dir.mkdir(exist_ok=True)
         for h, ps in nf_union(args.q).items():
@@ -242,8 +246,8 @@ def _cmd_omega(args: argparse.Namespace, out: Path) -> list[str]:
         rows.append((fmt_float(est.t), fmt_float(est.lam), est.D, est.samples, est.seed,
                      fmt_float(est.estimate), fmt_float(est.std_error)))
         if args.quadrature:
-            value = omega_volume_quadrature(float(args.t), lam)
-            rows.append((fmt_float(args.t), fmt_float(lam), interference_order(args.t), 0, 0,
+            value = omega_volume_quadrature(est.t, est.lam)
+            rows.append((fmt_float(est.t), fmt_float(est.lam), est.D, 0, 0,
                          fmt_float(value), 0))
     write_csv(out / "omega.csv", ["t", "lambda", "D", "samples", "seed", "estimate",
                                   "std_error"], rows)

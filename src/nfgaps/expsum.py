@@ -6,6 +6,8 @@ r_j(x) = (a_j + b_j x) / (c_j + e_j x) over F_p with pairwise distinct
 poles.  The harness evaluates complete and incomplete additive-character
 sums exactly (poles omitted) and counts points in boxes, reporting the
 deviation from the product main term normalized by sqrt(p) log^(d+1) p.
+Every sum, box count and magnitude grid reads the tuple's graph, the
+points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple.
 
 Bound-check constants used by callers (4d for complete sums, 8d log p for
 incomplete ones, 5 for normalized box errors) are harness thresholds:
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,9 +114,8 @@ class FracLinearTuple:
             raise PreconditionError("tuple must contain at least one map")
         if any(f.p != self.p for f in self.funcs):
             raise PreconditionError("all maps must share the tuple's modulus")
-        poles = [f.pole for f in self.funcs]
-        if len(set(poles)) != len(poles):
-            raise PreconditionError(f"poles must be pairwise distinct; got {poles}")
+        if len(set(self.poles)) != self.d:
+            raise PreconditionError(f"poles must be pairwise distinct; got {list(self.poles)}")
 
     @property
     def d(self) -> int:
@@ -124,9 +125,17 @@ class FracLinearTuple:
     def poles(self) -> tuple[int, ...]:
         return tuple(f.pole for f in self.funcs)
 
-    def value_tables(self) -> np.ndarray:
-        """Stacked value tables, shape (d, p); pole slots hold -1."""
-        return np.stack([f.value_table() for f in self.funcs])
+    @cached_property
+    def graph(self) -> np.ndarray:
+        """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole,
+        in ascending x; int64, shape (d+1, p-d), built once per tuple."""
+        keep = np.ones(self.p, dtype=bool)
+        keep[list(self.poles)] = False
+        graph = np.empty((self.d + 1, self.p - self.d), dtype=np.int64)
+        graph[0] = np.flatnonzero(keep)
+        for row, f in zip(graph[1:], self.funcs):
+            row[:] = f.value_table()[keep]
+        return graph
 
 
 def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
@@ -150,18 +159,14 @@ def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
     return FracLinearTuple(p=p, funcs=funcs)
 
 
-def _phases(tup: FracLinearTuple, a: int, b: Sequence[int],
-            xs: np.ndarray) -> np.ndarray:
-    """Residues (a x + sum b_j r_j(x)) mod p over non-pole xs."""
-    p = tup.p
-    if len(b) != tup.d:
-        raise PreconditionError(f"need {tup.d} coefficients b; got {len(b)}")
-    tables = tup.value_tables()
-    xs = xs[~np.isin(xs, tup.poles)]
-    phase = (a % p) * xs % p
-    for bj, table in zip(b, tables):
-        phase = (phase + (bj % p) * table[xs]) % p
-    return phase
+def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int]) -> complex:
+    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph."""
+    if len(b) != len(graph) - 1:
+        raise PreconditionError(f"need {len(graph) - 1} coefficients b; got {len(b)}")
+    phase = (a % p) * graph[0] % p
+    for bj, values in zip(b, graph[1:]):
+        phase = (phase + (bj % p) * values) % p
+    return _unit_sum(phase, p)
 
 
 def _unit_sum(phase: np.ndarray, p: int) -> complex:
@@ -170,8 +175,7 @@ def _unit_sum(phase: np.ndarray, p: int) -> complex:
 
 def complete_sum(tup: FracLinearTuple, a: int, b: Sequence[int]) -> complex:
     """Exact sum of e((a x + sum b_j r_j(x)) / p) over all non-pole x."""
-    xs = np.arange(tup.p, dtype=np.int64)
-    return _unit_sum(_phases(tup, a, b, xs), tup.p)
+    return _graph_sum(tup.graph, tup.p, a, b)
 
 
 @dataclass(frozen=True)
@@ -193,15 +197,17 @@ class Interval:
         return (values >= self.lo) & (values <= self.hi)
 
 
+def _check_windows(p: int, *windows: Interval) -> None:
+    for w in windows:
+        if w.hi >= p:
+            raise PreconditionError(f"window [{w.lo}, {w.hi}] exceeds the residue range of p={p}")
+
+
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
                    window: Interval) -> complex:
     """The complete sum restricted to x in the window (poles still omitted)."""
-    if window.hi >= tup.p:
-        raise PreconditionError(
-            f"window [{window.lo}, {window.hi}] exceeds the residue range of p={tup.p}"
-        )
-    xs = np.arange(window.lo, window.hi + 1, dtype=np.int64)
-    return _unit_sum(_phases(tup, a, b, xs), tup.p)
+    _check_windows(tup.p, window)
+    return _graph_sum(tup.graph[:, window.contains(tup.graph[0])], tup.p, a, b)
 
 
 def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
@@ -215,11 +221,8 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
         raise PreconditionError(
             f"full magnitude grid p^(d+1) = {p ** (d + 1)} is too large; sample instead"
         )
-    tables = tup.value_tables()
-    xs = np.arange(p, dtype=np.int64)
-    mask = ~np.isin(xs, tup.poles)
     grid = np.zeros((p,) * (d + 1))
-    grid[tuple([xs[mask]] + [t[xs[mask]] for t in tables])] = 1.0
+    grid[tuple(tup.graph)] = 1.0
     # ifftn uses e(+...) so this is S up to the overall 1/p^(d+1) factor
     return np.abs(np.fft.ifftn(grid)) * p ** (d + 1)
 
@@ -270,16 +273,11 @@ def box_count(tup: FracLinearTuple, box: BoxSpec) -> BoxCount:
         raise PreconditionError(
             f"need {tup.d} value windows; got {len(box.value_windows)}"
         )
-    for w in (box.x_window, *box.value_windows):
-        if w.hi >= p:
-            raise PreconditionError(
-                f"window [{w.lo}, {w.hi}] exceeds the residue range of p={p}"
-            )
-    xs = np.arange(p, dtype=np.int64)
-    mask = box.x_window.contains(xs)
-    tables = tup.value_tables()
-    for table, w in zip(tables, box.value_windows):
-        mask &= (table >= 0) & w.contains(table)
+    _check_windows(p, box.x_window, *box.value_windows)
+    graph = tup.graph
+    mask = box.x_window.contains(graph[0])
+    for values, w in zip(graph[1:], box.value_windows):
+        mask &= w.contains(values)
     count = int(np.count_nonzero(mask))
     main = box.x_window.length * math.prod(w.length for w in box.value_windows) / p ** tup.d
     return BoxCount(p=p, d=tup.d, count=count, main_term=main)

@@ -28,14 +28,15 @@ each block of samples generates one coordinate row at a time, applies that
 row's window and reuses the buffer, so memory per thread is O(block) for
 any D, however small t is.  The quadrature reads the same windows for any
 t >= 1/10; its cost grows like rows^4, and MC is cheaper below that floor.
+A region has at most _MAX_ROWS rows, which puts the MC floor near t = 4e-6.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ _MIN_SAMPLES = 10_000
 _CHUNK = 1 << 20     # samples per thread job
 _BLOCK = 1 << 16     # samples per streamed block inside a job
 _QUAD_MIN_T = 0.1    # quadrature floor: up to about 1 s at t = 0.1, 6 s at t = 0.05
+_MAX_ROWS = 10 ** 6  # one Python tuple per row: about 180 MB and 6 s at the cap
 _X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
@@ -69,16 +71,12 @@ def interference_order(t) -> int:
     """The unique D with 2/D < t <= 2/(D-1); D = 1 means t > 2.
 
     Boundaries t = 2/(D-1) belong to the larger D (e.g. t = 2 gives D = 2).
-    Accepts exact rationals for exact boundary handling.  A float t gets the
-    D with fl(2/D) < t <= fl(2/(D-1)), the range that OmegaSpec checks.
+    D is the order of float(t), fl(2/D) < t <= fl(2/(D-1)), the t that the
+    windows are built from; a t whose 2/t overflows is rejected.
     """
-    if isinstance(t, Fraction):
-        if t <= 0:
-            raise PreconditionError(f"t must be positive; got {t}")
-        return (2 * t.denominator) // t.numerator + 1
     t = float(t)
-    if not t > 0.0:
-        raise PreconditionError(f"t must be positive; got {t}")
+    if not (t > 0.0 and math.isfinite(2.0 / t)):
+        raise PreconditionError(f"t must be positive with 2/t finite (--t); got {t}")
     D = int(math.floor(2.0 / t)) + 1
     # fl(2/t) can round across an integer (2/1e-5 gives 199999.99999999997)
     if not 2.0 / D < t:
@@ -91,56 +89,58 @@ def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[in
 
     Rows j = -D+1 .. D, then for t <= 2 every further j whose window can
     still cut the region (see the module docstring).  The defaults give
-    the rows -D+1 .. D alone.
+    the rows -D+1 .. D alone.  Over _MAX_ROWS rows are refused up front.
     """
     if D < 1:
         raise PreconditionError(f"D must be a positive integer; got {D}")
-    rows = list(range(-D + 1, D + 1))
+    last = D
     if t <= 2.0:
-        top = min(lam, 1.0 + 2.0 / t) + 2.0 / t
-        rows += range(D + 1, math.ceil(top))
-    return rows
-
-
-def _check_t_lam(t: float, lam: float) -> None:
-    if not t > 0.0:
-        raise PreconditionError(f"t must be positive; got {t}")
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
+        last = max(D, math.ceil(min(lam, 1.0 + 2.0 / t) + 2.0 / t) - 1)
+    if D + last > _MAX_ROWS:
+        raise PreconditionError(f"t={t} needs {D + last} rows, over {_MAX_ROWS}; "
+                                "raise --t (the floor is near 4e-6)")
+    return list(range(-D + 1, last + 1))
 
 
 def _windows(D: int, t: float, lam: float) -> tuple[list[int], list[tuple[int, float, float]]]:
     """The rows coordinate_offsets(D, t, lam) and, per row j != 0, its index
     there with its window ends (j - lam) t and j t: a point leaves the region
     iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
-    _check_t_lam(t, lam)
+    if not t > 0.0:
+        raise PreconditionError(f"t must be positive; got {t}")
+    if not lam >= 0.0:
+        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
     rows = coordinate_offsets(D, t, lam)
     return rows, [(i, (j - lam) * t, j * t) for i, j in enumerate(rows) if j != 0]
 
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Parameters (t, lambda, D) of one region; validates the t-range of D."""
+    """One region: t, lambda and the interference order D of t.  Its rows and
+    windows are one _windows result, checked and built on first use, then kept."""
 
     t: float
     lam: float
-    D: int
+    D: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_t_lam(self.t, self.lam)
-        order = interference_order(self.t)     # the range check itself
-        if self.D != order:
-            raise PreconditionError(
-                f"t={self.t} is outside (2/D, 2/(D-1)] for D={self.D}; its order is {order}"
-            )
+        object.__setattr__(self, "D", interference_order(self.t))
 
     @classmethod
     def for_t(cls, t, lam: float) -> "OmegaSpec":
-        return cls(t=float(t), lam=float(lam), D=interference_order(t))
+        return cls(t=float(t), lam=float(lam))
+
+    @cached_property
+    def _region(self) -> tuple[list[int], list[tuple[int, float, float]]]:
+        return _windows(self.D, self.t, self.lam)
 
     @property
     def rows(self) -> list[int]:
-        return coordinate_offsets(self.D, self.t, self.lam)
+        return self._region[0]
+
+    @property
+    def windows(self) -> list[tuple[int, float, float]]:
+        return self._region[1]
 
     @property
     def dims(self) -> int:
@@ -248,13 +248,13 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     by its row's window and overwritten by the next, so memory is
     O(_BLOCK) for any D.
     """
-    _, windows = _windows(spec.D, spec.t, spec.lam)
+    windows, slots = spec.windows, spec.dims
     end = start + count
     cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
     accepted = 0
     for lo, hi in zip(cuts, cuts[1:]):
         n = hi - lo
-        stream = _SlotStream(seed, lo, n, spec.dims)
+        stream = _SlotStream(seed, lo, n, slots)
         x4, y0, v = np.empty(n), np.empty(n), np.empty(n)
         hit, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         rejected = np.zeros(n, dtype=bool)
@@ -287,20 +287,17 @@ def omega_volume(t, lam: float, samples: int, seed: int,
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
     spec = OmegaSpec.for_t(t, lam)
     seed = int(seed)
-    starts = list(range(0, samples, _CHUNK))
-    sizes = [min(_CHUNK, samples - s) for s in starts]
     if threads is None:
         threads = min(8, os.cpu_count() or 1)
     if threads < 1:
         raise PreconditionError(f"threads must be >= 1 (--threads); got {threads}")
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda sc: _count_chunk(spec, seed, sc[0], sc[1]),
-                                   zip(starts, sizes)))
-    else:
-        counts = [_count_chunk(spec, seed, s, c) for s, c in zip(starts, sizes)]
+    spec.windows                         # built once, before the workers share it
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        accepted = sum(pool.map(
+            lambda start: _count_chunk(spec, seed, start, min(_CHUNK, samples - start)),
+            range(0, samples, _CHUNK)))
     return VolumeEstimate(t=spec.t, lam=spec.lam, D=spec.D,
-                          samples=samples, seed=seed, accepted=sum(counts))
+                          samples=samples, seed=seed, accepted=accepted)
 
 
 def omega_volume_quadrature(t: float, lam: float) -> float:
@@ -318,7 +315,7 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     t, lam = float(t), float(lam)
     if not _QUAD_MIN_T <= t < math.inf:
         raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
-    ends = np.array([w[1:] for w in _windows(interference_order(t), t, lam)[1]])
+    ends = np.array([w[1:] for w in OmegaSpec.for_t(t, lam).windows])
     k_all = np.append(ends, 0.0)
     cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
     edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))

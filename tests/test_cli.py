@@ -205,11 +205,19 @@ class TestValidationErrors:
           "--tile-lambda", "0:1:0.5"], "--tile-t"),
         (["limit", "--t", "2.76", "--grid", "0:1:0.5", "--tile-t", "1:3:0.5",
           "--tile-lambda", "0:1:nan"], "--tile-lambda"),
+        (["limit", "--t", "1e400", "--grid", "0:2:1"], "--t"),
+        (["omega", "--t", "1e400", "--lambda", "1", "--samples", "10000"], "--t"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "1e400"], "--t"),
+        (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "--t", "1e400"], "--t"),
+        (["omega", "--t", "1e-310", "--lambda", "1", "--samples", "10000"], "--t"),
+        (["curve", "--q", "101", "--h", "5", "--union"], "--h"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
             "omega-nan-lambda-d1", "omega-nan-lambda-d2", "omega-quadrature-below-floor",
-            "grid-nan", "grid-too-many-points", "tile-t-inf", "tile-lambda-nan"])
+            "grid-nan", "grid-too-many-points", "tile-t-inf", "tile-lambda-nan",
+            "limit-t-overflow", "omega-t-overflow", "gaps-t-overflow", "scan-t-overflow",
+            "omega-t-subnormal", "curve-union-h"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, PreconditionError,
                     box_count, complete_sum, complete_sum_magnitudes,
@@ -10,6 +12,7 @@ from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, Precondition
                     neighbor_flip_tuple)
 from nfgaps.cli import run
 from nfgaps.expsum import inverse_table
+from nfgaps.modcurve import is_prime
 
 RNG = np.random.default_rng(20240831)
 
@@ -240,6 +243,49 @@ class TestBoxCount:
         with pytest.raises(PreconditionError):
             box_count(tup, BoxSpec(x_window=Interval(0, 50),
                                    value_windows=(Interval(0, 50),)))
+
+
+class TestGraph:
+    def test_shape_and_columns(self):
+        tup = neighbor_flip_tuple(101, 2, 2)
+        graph = tup.graph
+        assert graph.dtype == np.int64 and graph.shape == (tup.d + 1, 101 - tup.d)
+        assert list(graph[0]) == [x for x in range(101) if x not in tup.poles]
+        for x, *values in graph.T.tolist():
+            assert values == [f(x) for f in tup.funcs]
+
+    def test_value_tables_built_once(self, monkeypatch):
+        calls = []
+        table = FracLinear.value_table
+        monkeypatch.setattr(FracLinear, "value_table",
+                            lambda self: calls.append(self) or table(self))
+        tup = neighbor_flip_tuple(101, 1, 2)
+        complete_sum(tup, 1, [2, 3, 5, 7])
+        box_count(tup, BoxSpec(x_window=Interval(0, 100),
+                               value_windows=(Interval(0, 50),) * tup.d))
+        assert len(calls) == tup.d
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([q for q in range(5, 200) if is_prime(q)]))
+    def test_sums_and_boxes_match_pointwise_loops(self, data, p):
+        h, D = data.draw(st.integers(1, p - 1)), data.draw(st.integers(1, 2))
+        tup = neighbor_flip_tuple(p, h, D)
+        residues = st.integers(0, p - 1)
+
+        def window():
+            lo = data.draw(residues)
+            return Interval(lo, data.draw(st.integers(lo, p - 1)))
+
+        a, b = data.draw(residues), [data.draw(residues) for _ in range(tup.d)]
+        xw = window()
+        points = [(x, [f(x) for f in tup.funcs]) for x in range(xw.lo, xw.hi + 1)
+                  if x not in tup.poles]
+        want = sum(cmath.exp(2j * cmath.pi * ((a * x + sum(bj * v for bj, v in zip(b, vs)))
+                                               % p) / p) for x, vs in points)
+        assert incomplete_sum(tup, a, b, xw) == pytest.approx(want, abs=1e-9)
+        vws = tuple(window() for _ in range(tup.d))
+        count = sum(all(w.lo <= v <= w.hi for v, w in zip(vs, vws)) for _, vs in points)
+        assert box_count(tup, BoxSpec(x_window=xw, value_windows=vws)).count == count
 
 
 class TestInverseTable:

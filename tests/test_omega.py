@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfgaps import (OmegaSpec, PreconditionError, counter_uniforms, interference_order,
-                    limit_G, omega_contains, omega_volume, omega_volume_quadrature)
+                    limit_G, omega, omega_contains, omega_volume, omega_volume_quadrature)
 from nfgaps.cli import run
 from nfgaps.omega import _BLOCK, _count_chunk, coordinate_offsets
 
@@ -32,15 +36,19 @@ class TestInterferenceOrder:
     def test_positive_required(self):
         with pytest.raises(PreconditionError):
             interference_order(0)
+        # a subnormal t overflows 2/t
+        with pytest.raises(PreconditionError, match="--t"):
+            interference_order(1e-310)
 
-    @pytest.mark.parametrize("t", [1e-5, 2e-5, 4e-5, 8e-5])
-    def test_float_rounding_onto_boundary(self, t):
+    @pytest.mark.parametrize("t, D", [(1e-5, 200001), (2e-5, 100001),
+                                      (4e-5, 50001), (8e-5, 25001)])
+    def test_float_rounding_onto_boundary(self, t, D):
         # fl(2/t) lands just below the integer 2/t, yet fl(2/D) equals t:
         # the float order is the larger D, like the decimal's exact order.
-        spec = OmegaSpec.for_t(t, 1.0)
-        assert spec.D == interference_order(Fraction(str(t)))
+        assert OmegaSpec.for_t(t, 1.0).D == D
 
     def test_exact_path_unchanged(self):
+        # a Fraction takes the float order of float(t), like any other t
         assert interference_order(Fraction(1, 10)) == 21
         assert interference_order(Fraction(1, 20)) == 41
         assert OmegaSpec.for_t(Fraction(1, 20), 0.5).D == 41
@@ -56,12 +64,11 @@ class TestInterferenceOrder:
 
 class TestOmegaSpec:
     def test_validates_range(self):
-        OmegaSpec(t=2.76, lam=0.5, D=1)
-        OmegaSpec(t=2.0, lam=0.5, D=2)
-        with pytest.raises(PreconditionError):
+        # D is derived from t, never given
+        assert OmegaSpec.for_t(2.76, 0.5).D == 1
+        assert OmegaSpec.for_t(2.0, 0.5).D == 2
+        with pytest.raises(TypeError):
             OmegaSpec(t=2.76, lam=0.5, D=2)
-        with pytest.raises(PreconditionError):
-            OmegaSpec(t=1.45, lam=0.5, D=1)
 
     def test_dims(self):
         assert OmegaSpec.for_t(1.45, 0.5).dims == 5
@@ -78,6 +85,20 @@ class TestOmegaSpec:
         assert OmegaSpec.for_t(2.76, 1.5).rows == [0, 1]
         # past lam = 1 + 2/t the region is already empty; rows stop there
         assert coordinate_offsets(2, 1.45, 1e9) == coordinate_offsets(2, 1.45, 2.38)
+
+    def test_row_cap(self, tmp_path):
+        # t = 1e-8 asks for 4e8 rows; the cap refuses it before building any,
+        # so the run stays far inside a 2 GiB address space
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "from nfgaps.cli import run; "
+                "sys.exit(run(['omega', '--t', '1e-8', '--lambda', '1', "
+                "'--samples', '10000', '--out', sys.argv[1]]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(omega.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "--t" in proc.stderr
 
 
 class TestMembership:
@@ -217,6 +238,13 @@ class TestVolume:
         assert len({r.accepted for r in runs}) == 1
         assert len({r.estimate for r in runs}) == 1
 
+    def test_windows_built_once(self, monkeypatch):
+        calls = []
+        windows = omega._windows
+        monkeypatch.setattr(omega, "_windows", lambda *a: calls.append(a) or windows(*a))
+        omega_volume(2.76, 0.8, 3 << 20, seed=1, threads=2)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_validated(self, threads, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -312,3 +340,10 @@ class TestExport:
         assert len(lines) == 3
         assert float(lines[1].split(",")[5]) == est.estimate
         assert lines[2].split(",")[3] == "0"  # quadrature rows carry samples=0
+
+    def test_boundary_decimal_takes_float_order(self, tmp_path):
+        # the decimal lies just above 2/3 but rounds onto fl(2/3), whose order is 4
+        assert run(["omega", "--t", "0.66666666666666666667", "--lambda", "1",
+                    "--samples", "10000", "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "omega.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "0.66666666666666663" and row[2] == "4"
