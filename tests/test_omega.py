@@ -41,7 +41,8 @@ class TestInterferenceOrder:
             interference_order(1e-310)
 
     @pytest.mark.parametrize("t, D", [(1e-5, 200001), (2e-5, 100001),
-                                      (4e-5, 50001), (8e-5, 25001)])
+                                      (4e-5, 50001), (8e-5, 25001)],
+                             ids=["1e-05", "2e-05", "4e-05", "8e-05"])
     def test_float_rounding_onto_boundary(self, t, D):
         # fl(2/t) lands just below the integer 2/t, yet fl(2/D) equals t:
         # the float order is the larger D, like the decimal's exact order.
