@@ -195,7 +195,10 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     frame = ObserverFrame(t=t_frac, J=J)
     a, b = t_frac.numerator, t_frac.denominator
     aJ2 = a * J * J
-    T = float(Fraction(aJ2, b))
+    try:
+        T = float(Fraction(aJ2, b))
+    except OverflowError:
+        raise PreconditionError(f"t*J^2 overflows a float at J={J} (--t)") from None
 
     d = xs + T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

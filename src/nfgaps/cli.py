@@ -23,7 +23,7 @@ from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
 from .limitdist import classify_region, limit_density, limit_G, tile_map
 from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
 from .omega import omega_volume, omega_volume_quadrature
-from .output import fmt_float, manifest, write_csv, write_json
+from .output import manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
 
@@ -160,11 +160,6 @@ def _write_points(path: Path, ps: CurvePointSet) -> None:
                *zip(ps.x.tolist(), ps.y.tolist())])
 
 
-def _write_gap_curve(path: Path, lams, curve) -> None:
-    write_csv(path, ["lambda", "G_emp"],
-              ((fmt_float(lam), fmt_float(g)) for lam, g in zip(lams, curve)))
-
-
 def _write_csvs(out: Path, files: dict) -> list[str]:
     """Write each name -> (header, rows); callers build every file's rows
     first, so a validation error leaves no partial artifacts."""
@@ -202,16 +197,15 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     gaps = normalized_gaps(seq)
     grid_values = args.grid.values()
     base = f"gaps_q{args.q}_h{args.h}"
-    _write_gap_curve(out / f"{base}.csv", grid_values, empirical_G(gaps, grid_values))
+    write_csv(out / f"{base}.csv", ["lambda", "G_emp"],
+              zip(grid_values, empirical_G(gaps, grid_values)))
     write_json(out / f"{base}.json", {
         "q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
         "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max, "delta_av": seq.delta_av,
     })
     artifacts = [f"{base}.csv", f"{base}.json"]
     if args.per_point:
-        write_csv(out / f"{base}_points.csv", ["x", "y", "gap"],
-                  ((x, y, "" if g is None else fmt_float(g))
-                   for x, y, g in gap_per_point(ps, args.t)))
+        write_csv(out / f"{base}_points.csv", ["x", "y", "gap"], gap_per_point(ps, args.t))
         artifacts.append(f"{base}_points.csv")
     return artifacts
 
@@ -220,18 +214,14 @@ def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
     if (args.tile_t is None) != (args.tile_lambda is None):
         raise PreconditionError("--tile-t and --tile-lambda must be given together")
     t = float(args.t)
-    rows = []
-    for lam in args.grid.values():
-        region = classify_region(t, lam)
-        g = limit_G(t, lam)
-        # The density has an integrable log spike at lambda = 1; the file says inf.
-        dens = math.inf if lam == 1.0 else limit_density(t, lam)
-        rows.append((fmt_float(lam), fmt_float(g), fmt_float(dens), region.value))
+    # The density has an integrable log spike at lambda = 1; the file says inf.
+    rows = [(lam, limit_G(t, lam), math.inf if lam == 1.0 else limit_density(t, lam),
+             classify_region(t, lam).value) for lam in args.grid.values()]
     files = {f"limit_t{t:g}.csv": (["lambda", "G_limit", "g_limit", "region"], rows)}
     if args.tile_t is not None:
         t_values, lam_values = args.tile_t.values(), args.tile_lambda.values()
         files["tiles.csv"] = ["t", "lambda", "region"], [
-            (fmt_float(tt), fmt_float(lam), region.value)
+            (tt, lam, region.value)
             for tt, row in zip(t_values, tile_map(t_values, lam_values))
             for lam, region in zip(lam_values, row)]
     return _write_csvs(out, files)
@@ -243,12 +233,11 @@ def _cmd_omega(args: argparse.Namespace, out: Path) -> list[str]:
     rows = []
     for lam in args.lam:
         est = omega_volume(args.t, lam, args.samples, args.seed, threads=args.threads)
-        rows.append((fmt_float(est.t), fmt_float(est.lam), est.D, est.samples, est.seed,
-                     fmt_float(est.estimate), fmt_float(est.std_error)))
+        rows.append((est.t, est.lam, est.D, est.samples, est.seed, est.estimate,
+                     est.std_error))
         if args.quadrature:
             value = omega_volume_quadrature(est.t, est.lam)
-            rows.append((fmt_float(est.t), fmt_float(est.lam), est.D, 0, 0,
-                         fmt_float(value), 0))
+            rows.append((est.t, est.lam, est.D, 0, 0, value, 0))
     write_csv(out / "omega.csv", ["t", "lambda", "D", "samples", "seed", "estimate",
                                   "std_error"], rows)
     return ["omega.csv"]
@@ -258,6 +247,9 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
     tup = neighbor_flip_tuple(args.p, args.h, args.D)
     if args.sum_b is None and args.box is None:
         raise PreconditionError("expsum needs --sum-b and/or --box")
+    for flag, value in (("--sum-a", args.sum_a), ("--interval", args.interval)):
+        if args.sum_b is None and value is not None:
+            raise PreconditionError(f"{flag} applies to the sum, which needs --sum-b")
     if args.box is not None and len(args.box) != tup.d + 1:
         raise PreconditionError(
             f"--box needs 1 x-window plus {tup.d} value windows; got {len(args.box)}"
@@ -278,14 +270,13 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
             bound = 4 * tup.d * math.sqrt(tup.p)
         header = ["p", "d", "a", *(f"b{k + 1}" for k in range(len(b))), "re", "im",
                   "bound_ratio"]
-        files["sums.csv"] = header, [(tup.p, tup.d, a, *b, fmt_float(value.real),
-                                      fmt_float(value.imag), fmt_float(abs(value) / bound))]
+        files["sums.csv"] = header, [(tup.p, tup.d, a, *b, value.real, value.imag,
+                                      abs(value) / bound)]
     if args.box is not None:
         spec = BoxSpec(x_window=args.box[0], value_windows=tuple(args.box[1:]))
         r = box_count(tup, spec)
         files["boxes.csv"] = (["p", "d", "count", "main_term", "normalized_error"],
-                              [(r.p, r.d, r.count, fmt_float(r.main_term),
-                                fmt_float(r.normalized_error))])
+                              [(r.p, r.d, r.count, r.main_term, r.normalized_error)])
     return _write_csvs(out, files)
 
 
@@ -325,7 +316,7 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
         lams = grid.values()
         for (q, h, t), curve in curves.items():
             name = f"curve_q{q}_h{h}_t{float(t):g}.csv"
-            _write_gap_curve(out / name, lams, curve)
+            write_csv(out / name, ["lambda", "G_emp"], zip(lams, curve))
             artifacts.append(name)
     return artifacts
 

@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 10_000
-_CHUNK = 1 << 20     # samples per thread job
-_BLOCK = 1 << 16     # samples per streamed block inside a job
+_CHUNK = 1 << 20     # samples per _count_chunk call
+_BLOCK = 1 << 16     # samples per streamed block inside a chunk
 _QUAD_MIN_T = 0.1    # quadrature floor: up to about 1 s at t = 0.1, 6 s at t = 0.05
 _MAX_ROWS = 10 ** 6  # one Python tuple per row: about 180 MB and 6 s at the cap
 _X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
@@ -281,6 +281,7 @@ def omega_volume(t, lam: float, samples: int, seed: int,
 
     Deterministic in (samples, seed) regardless of threads: chunks have a
     fixed size and per-chunk accept counts are integers summed exactly.
+    Each of at most `threads` jobs counts a stride of chunks, whatever the samples.
     Any t > 0 is supported; below t = 1/10 it is the only evaluator.
     """
     if samples < _MIN_SAMPLES:
@@ -291,11 +292,16 @@ def omega_volume(t, lam: float, samples: int, seed: int,
         threads = min(8, os.cpu_count() or 1)
     if threads < 1:
         raise PreconditionError(f"threads must be >= 1 (--threads); got {threads}")
-    spec.windows                         # built once, before the workers share it
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        accepted = sum(pool.map(
-            lambda start: _count_chunk(spec, seed, start, min(_CHUNK, samples - start)),
-            range(0, samples, _CHUNK)))
+    # Builds the region before the workers share it.  Sample i draws the
+    # counters i*dims .. i*dims + dims-1, which must stay below 2**64.
+    if samples * spec.dims > 2 ** 64:
+        raise PreconditionError(f"samples times {spec.dims} coordinates exceeds 2**64 "
+                                f"(--samples); got {samples}")
+    jobs = min(threads, -(-samples // _CHUNK))     # job k counts chunks k, k + jobs, ...
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        accepted = sum(pool.map(lambda k: sum(
+            _count_chunk(spec, seed, start, min(_CHUNK, samples - start))
+            for start in range(k * _CHUNK, samples, jobs * _CHUNK)), range(jobs)))
     return VolumeEstimate(t=spec.t, lam=spec.lam, D=spec.D,
                           samples=samples, seed=seed, accepted=accepted)
 

@@ -67,6 +67,11 @@ class TestGapsCommand:
                     "--out", str(tmp_path)]) == 2
         assert "strictly left" in capsys.readouterr().err
 
+    def test_large_t_in_float_range(self, tmp_path):
+        # t*J^2 = 2.5e307 at q = 101 (J = 50) is still a finite float
+        assert run(["gaps", "--q", "101", "--h", "1", "--t", "1e304", "--per-point",
+                    "--out", str(tmp_path)]) == 0
+
 
 class TestLimitCommand:
     def test_curve_and_tiles(self, tmp_path):
@@ -113,6 +118,17 @@ class TestOmegaCommand:
         assert run(["omega", "--t", "2.76", "--lambda", "0.5", "--samples", "100000",
                     "--threads", threads, "--out", str(tmp_path)]) == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_sample_count_bound(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        # t = 2.76 draws 3 coordinates per sample: 3 * (2**64 // 3 + 1) > 2**64
+        monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", no_pool)
+        assert run(["omega", "--t", "2.76", "--lambda", "0.5", "--samples",
+                    str(2 ** 64 // 3 + 1), "--out", str(tmp_path)]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExpsumCommand:
@@ -211,13 +227,22 @@ class TestValidationErrors:
         (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "--t", "1e400"], "--t"),
         (["omega", "--t", "1e-310", "--lambda", "1", "--samples", "10000"], "--t"),
         (["curve", "--q", "101", "--h", "5", "--union"], "--h"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "1e306"], "--t"),
+        (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "--t", "1e306"], "--t"),
+        (["scan", "--kind", "equidistribution", "--q", "101", "--h", "1", "--t", "1e306"],
+         "--t"),
+        (["expsum", "--p", "101", "--box", "0:50", "0:50", "0:50", "--interval", "0:10"],
+         "--interval"),
+        (["expsum", "--p", "101", "--box", "0:50", "0:50", "0:50", "--sum-a", "3"], "--sum-a"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
             "omega-nan-lambda-d1", "omega-nan-lambda-d2", "omega-quadrature-below-floor",
             "grid-nan", "grid-too-many-points", "tile-t-inf", "tile-lambda-nan",
             "limit-t-overflow", "omega-t-overflow", "gaps-t-overflow", "scan-t-overflow",
-            "omega-t-subnormal", "curve-union-h"])
+            "omega-t-subnormal", "curve-union-h", "gaps-t-float-overflow",
+            "exponential-t-float-overflow", "equidistribution-t-float-overflow",
+            "expsum-interval-without-sum", "expsum-sum-a-without-sum"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"

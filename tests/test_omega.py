@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,6 +255,33 @@ class TestVolume:
         monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", no_pool)
         with pytest.raises(PreconditionError, match="threads"):
             omega_volume(2.76, 0.8, 3 << 20, seed=1, threads=threads)
+
+    def test_sample_count_bound(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", no_pool)
+        # t = 2.76 draws 3 coordinates per sample; 3 * (2**64 // 3) = 2**64 - 1
+        with pytest.raises(AssertionError, match="thread pool"):
+            omega_volume(2.76, 0.8, 2 ** 64 // 3, seed=1)
+        with pytest.raises(PreconditionError, match="--samples"):
+            omega_volume(2.76, 0.8, 2 ** 64 // 3 + 1, seed=1)
+
+    def test_one_job_per_thread(self, monkeypatch):
+        submits = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", CountingPool)
+        samples = (2 << 20) + 12345          # three chunks, the last one partial
+        whole = _count_chunk(OmegaSpec.for_t(2.76, 0.8), 1, 0, samples)
+        for threads in (1, 2, 4):
+            submits.clear()
+            assert omega_volume(2.76, 0.8, samples, seed=1, threads=threads).accepted == whole
+            assert len(submits) == min(threads, 3)
 
     def test_monotone_in_lambda(self):
         lams = [0.2, 0.6, 1.0, 1.4, 1.8]
