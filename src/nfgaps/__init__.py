@@ -9,83 +9,17 @@ region-volume routes against each other.
 
 __version__ = "0.1.0"
 
-from .angles import (AngleSequence, GapSample, ObserverFrame, angle_sequence,
-                     as_fraction, empirical_G, gap_per_point, normalized_gaps)
-from .errors import PreconditionError, SingularPointError
-from .experiments import (DEFAULT_GRID, DistanceReport, LambdaGrid,
-                          composite_contrast, convergence_scan,
-                          empirical_gap_curve, equidistribution_check,
-                          exponential_limit_scan, h_independence, sup_distance,
-                          uniform_ks_statistic)
-from .expsum import (BoxCount, BoxSpec, FracLinear, FracLinearTuple, Interval,
-                     box_count, complete_sum, complete_sum_magnitudes,
-                     geometric_interval_sum, geometric_sum_bound,
-                     incomplete_sum, neighbor_flip_tuple)
-from .limitdist import (Region, branch_derivative, branch_value,
-                        classify_region, integral_of_G, limit_G, limit_density,
-                        thresholds, tile_map)
-from .modcurve import (CurvePointSet, build_curve, build_nf_curve, is_prime,
-                       mod_inverse, mod_inverse_centered, nf_union)
-from .omega import (OmegaSpec, VolumeEstimate, counter_uniforms,
-                    interference_order, omega_contains, omega_volume,
-                    omega_volume_quadrature)
+# Star imports: each module's __all__ is the one declaration of its public
+# names, and the package re-exports exactly those.
+from . import angles, errors, experiments, expsum, limitdist, modcurve, omega
+from .angles import *
+from .errors import *
+from .experiments import *
+from .expsum import *
+from .limitdist import *
+from .modcurve import *
+from .omega import *
 
-__all__ = [
-    "__version__",
-    "PreconditionError",
-    "SingularPointError",
-    "CurvePointSet",
-    "build_curve",
-    "build_nf_curve",
-    "nf_union",
-    "mod_inverse",
-    "mod_inverse_centered",
-    "is_prime",
-    "ObserverFrame",
-    "AngleSequence",
-    "GapSample",
-    "angle_sequence",
-    "normalized_gaps",
-    "empirical_G",
-    "gap_per_point",
-    "as_fraction",
-    "Region",
-    "classify_region",
-    "thresholds",
-    "branch_value",
-    "branch_derivative",
-    "limit_G",
-    "limit_density",
-    "tile_map",
-    "integral_of_G",
-    "OmegaSpec",
-    "VolumeEstimate",
-    "interference_order",
-    "omega_contains",
-    "counter_uniforms",
-    "omega_volume",
-    "omega_volume_quadrature",
-    "FracLinear",
-    "FracLinearTuple",
-    "Interval",
-    "BoxSpec",
-    "BoxCount",
-    "neighbor_flip_tuple",
-    "complete_sum",
-    "incomplete_sum",
-    "complete_sum_magnitudes",
-    "geometric_interval_sum",
-    "geometric_sum_bound",
-    "box_count",
-    "LambdaGrid",
-    "DEFAULT_GRID",
-    "DistanceReport",
-    "empirical_gap_curve",
-    "sup_distance",
-    "uniform_ks_statistic",
-    "convergence_scan",
-    "h_independence",
-    "composite_contrast",
-    "equidistribution_check",
-    "exponential_limit_scan",
-]
+__all__ = ["__version__"] + [name for module in (angles, errors, experiments, expsum,
+                                                 limitdist, modcurve, omega)
+                             for name in module.__all__]

@@ -171,22 +171,26 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     The order comes from the float key k = fl(y / d), d = fl(x + T),
     T = fl(t*J^2), sorted by a stable argsort.  Let u = 2^-53 and
     D = x + t*J^2 the exact denominator.  Correct rounding gives
-    |T - t*J^2| <= u*T and |d - (x + T)| <= u*d, so |d - D| <= u*(T + d);
-    with 4u*(T + d) <= d, |y/d - y/D| <= (4/3)*u*|y|*(T + d)/d^2, and the
-    division adds at most u*|k| (plus 2^-1075 if it underflows).  Each key
-    therefore carries the bound
+    |T - t*J^2| <= u*T and |d - (x + T)| <= u*d, so |d - D| <= u*(T + d).
+    A key is trusted when fl(4u*T) <= fl((1 - 4u)*d): the left side is
+    exact and the right one at most a factor 1 + u too large, so
+    4u*(T + d) <= (1 + u)*d, D >= (3 - u)*d/4 and
+    |y/d - y/D| <= 1.34*u*|y|*(T/d + 1)/d.  The division adds at most
+    u*|k| (plus 2^-1075 if it underflows).  Each key therefore carries the
+    bound
 
-        err = 8u * (|k| + |y| * (T + d) / d^2) + 2^-1072,
+        err = 8u * (|k| + |y| / d * (T/d + 1)) + 2^-1072,
 
-    which leaves more than 6u*(|k| + |y|(T + d)/d^2) of room for the
-    rounding of err and of k +- err themselves.  Integer coordinates of
-    magnitude at most 2^53 convert to float exactly.  A key whose d fails
-    4u*(T + d) <= d, or that is not finite, gets an infinite bound, which
-    puts every point in one stretch.  Between two adjacent sorted positions
-    the order is certain when all keys on the left, widened by their
-    bounds, stay below all widened keys on the right; each maximal stretch
-    without such a cut is re-sorted exactly by (y/(b*x + a*J^2), input
-    index).
+    which leaves more than 6u*(|k| + |y|(T/d + 1)/d) of room for the
+    rounding of err and of k +- err themselves.  Neither test nor bound
+    forms T + d, which overflows once T passes about 9e307.  Integer
+    coordinates of magnitude at most 2^53 convert to float exactly.  A key
+    that fails the trust test, or whose k or err is not finite, gets an
+    infinite bound, which puts every point in one stretch.  Between two
+    adjacent sorted positions the order is certain when all keys on the
+    left, widened by their bounds, stay below all widened keys on the
+    right; each maximal stretch without such a cut is re-sorted exactly by
+    (y/(b*x + a*J^2), input index).
     """
     xs, ys, J = _coordinates(points, J)
     if len(xs) == 0:
@@ -200,11 +204,11 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     except OverflowError:
         raise PreconditionError(f"t*J^2 overflows a float at J={J} (--t)") from None
 
-    d = xs + T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = xs + T
         key = ys / d
-        err = 8 * _U * (np.abs(key) + np.abs(ys) / d * ((T + d) / d)) + _TINY
-    trusted = (4 * _U * (T + d) <= d) & np.isfinite(key) & np.isfinite(err)
+        err = 8 * _U * (np.abs(key) + np.abs(ys) / d * (T / d + 1)) + _TINY
+    trusted = (4 * _U * T <= (1 - 4 * _U) * d) & np.isfinite(key) & np.isfinite(err)
     key = np.where(trusted, key, 0.0)
     err = np.where(trusted, err, np.inf)
 

@@ -173,9 +173,10 @@ def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     if args.union:
         if args.h is not None:
             raise PreconditionError("--h takes no value with --union, which exports every shift")
+        curves = nf_union(args.q)      # validates q before any directory is made
         union_dir = out / f"union_q{args.q}"
         union_dir.mkdir(exist_ok=True)
-        for h, ps in nf_union(args.q).items():
+        for h, ps in curves.items():
             path = union_dir / f"h{h:04d}.csv"
             _write_points(path, ps)
             artifacts.append(str(path.relative_to(out)))
@@ -214,9 +215,8 @@ def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
     if (args.tile_t is None) != (args.tile_lambda is None):
         raise PreconditionError("--tile-t and --tile-lambda must be given together")
     t = float(args.t)
-    # The density has an integrable log spike at lambda = 1; the file says inf.
-    rows = [(lam, limit_G(t, lam), math.inf if lam == 1.0 else limit_density(t, lam),
-             classify_region(t, lam).value) for lam in args.grid.values()]
+    rows = [(lam, limit_G(t, lam), limit_density(t, lam), classify_region(t, lam).value)
+            for lam in args.grid.values()]
     files = {f"limit_t{t:g}.csv": (["lambda", "G_limit", "g_limit", "region"], rows)}
     if args.tile_t is not None:
         t_values, lam_values = args.tile_t.values(), args.tile_lambda.values()

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PreconditionError"]
+
 
 class PreconditionError(ValueError):
     """An operation was called with inputs that violate its contract.
@@ -7,7 +9,3 @@ class PreconditionError(ValueError):
     The message states the violated precondition; the CLI prints it
     verbatim and exits with status 2.
     """
-
-
-class SingularPointError(ValueError):
-    """Evaluation was requested exactly at a non-differentiable point."""

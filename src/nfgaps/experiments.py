@@ -25,6 +25,7 @@ from .modcurve import build_curve, is_prime
 
 __all__ = [
     "LambdaGrid",
+    "DEFAULT_GRID",
     "DistanceReport",
     "empirical_gap_curve",
     "sup_distance",

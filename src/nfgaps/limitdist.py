@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, SingularPointError
+from .errors import PreconditionError
 
 __all__ = [
     "Region",
@@ -294,26 +294,9 @@ def limit_G(t: float, lam: float) -> float:
     return branch_value(classify_region(t, lam), float(t), float(lam))
 
 
-def limit_density(t: float, lam: float, side: str | None = None) -> float:
-    """Limiting gap density, -dG/dlambda, for lambda != 1.
-
-    At the logarithmic spike lam = 1 a two-sided value does not exist;
-    pass side="left" or side="right" for the one-sided limit (+inf).
-    """
-    t, lam = _check_domain(t, lam)
-    if side not in (None, "left", "right"):
-        raise PreconditionError(f"side must be None, 'left' or 'right'; got {side!r}")
-    if lam == 1.0 and side is None:
-        raise SingularPointError(
-            "the density has a logarithmic spike at lambda = 1; "
-            "request a one-sided value with side='left' or side='right'"
-        )
-    if lam == 1.0:
-        # Both one-sided density limits diverge to +inf.
-        region = classify_region(t, math.nextafter(1.0, 0.0 if side == "left" else 2.0))
-    else:
-        region = classify_region(t, lam)
-    deriv = branch_derivative(region, t, lam)
+def limit_density(t: float, lam: float) -> float:
+    """Limiting gap density, -dG/dlambda; +inf at the logarithmic spike lam = 1."""
+    deriv = branch_derivative(classify_region(t, lam), float(t), float(lam))
     return 0.0 if deriv == 0.0 else -deriv
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,16 @@ class TestFloatFilteredOrder:
         t = Fraction(1, J) + Fraction(1, 10 ** 30)
         points = [(-J, 1), (-J, -1), (0, 5), (3, -7), (-J, 2), (J, J)]
         assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
+
+    @pytest.mark.parametrize("T", [9e307, 1e308, 1.7e308])
+    def test_no_overflow_near_float_max(self, T):
+        # t*J^2 just below the float limit: the filter must not form T + d.
+        ps = build_curve(101, 1)
+        t = Fraction(T) / ps.J ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ordered_points(ps.points, t, ps.J)
+        assert got == slope_order_oracle(ps.points, t, ps.J)
 
     def test_oversized_coordinates_rejected(self):
         with pytest.raises(PreconditionError):

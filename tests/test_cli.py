@@ -190,7 +190,10 @@ class TestValidationErrors:
         ["limit", "--t", "2.76", "--tile-t", "0.5:1:0.5", "--tile-lambda", "0:1:0.5"],
         ["expsum", "--p", "101", "--sum-b", "2,3", "--box", "0:50", "0:50"],
         ["expsum", "--p", "101", "--sum-b", "2,3", "--box", "0:50", "0:50", "0:500"],
-    ], ids=["unpaired-tiles", "tile-t-below-one", "box-arity", "box-window"])
+        ["curve", "--q", "4", "--union"],
+        ["curve", "--q", "3037000501", "--union"],
+    ], ids=["unpaired-tiles", "tile-t-below-one", "box-arity", "box-window",
+            "union-even-q", "union-q-beyond-int64"])
     def test_no_partial_artifacts(self, argv, tmp_path):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfgaps import (PreconditionError, Region, SingularPointError, branch_derivative,
+from nfgaps import (PreconditionError, Region, branch_derivative,
                     branch_value, classify_region, integral_of_G, limit_G,
                     limit_density, thresholds, tile_map)
 from nfgaps.cli import run
@@ -130,16 +130,9 @@ class TestDensity:
                     continue
                 assert limit_density(t, float(lam)) >= -1e-12
 
-    def test_spike_errors_and_one_sided(self):
-        with pytest.raises(SingularPointError):
-            limit_density(2.76, 1.0)
-        assert limit_density(2.76, 1.0, side="left") == math.inf
-        assert limit_density(2.76, 1.0, side="right") == math.inf
-        assert limit_density(1.12, 1.0, side="right") == math.inf
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(PreconditionError):
-            limit_density(2.76, 0.5, side="up")
+    def test_spike_is_inf(self):
+        for t in (1.0, 1.12, 4 / 3, 1.45, 2.0, 2.76, 30.0):
+            assert limit_density(t, 1.0) == math.inf, t
 
 
 class TestMass:
