@@ -1,5 +1,5 @@
 """The limit region in [-1/2, 1/2]^(2D+1) (one more dimension per row past D):
-membership, Monte Carlo volume, and a deterministic Gauss-Legendre volume.
+its windows, Monte Carlo volume, and a deterministic Gauss-Legendre volume.
 
 For an interference order D (the unique integer with 2/D < t <= 2/(D-1)),
 the region consists of points (x, y_{-D+1}, ..., y_D, ...) with x >= 0 such
@@ -26,9 +26,22 @@ integer that does not depend on chunking, evaluation order, or thread
 count: the estimate is reproducible bit for bit.  The slots are streamed:
 each block of samples generates one coordinate row at a time, applies that
 row's window and reuses the buffer, so memory per thread is O(block) for
-any D, however small t is.  The quadrature reads the same windows for any
-t >= 1/10; its cost grows like rows^4, and MC is cheaper below that floor.
-A region has at most _MAX_ROWS rows, which puts the MC floor near t = 4e-6.
+any D, however small t is.
+
+A row draws a sample's coordinate only if the sample can reach its window.
+Row j's window holds no v = 4x (y_j - y_0) with |v| < r, its reach
+r = max((j - lambda) t, -j t, 0).  The kernel computes
+v = fl(fl(fl(u - 1/2) - y_0) 4x) and |u - 1/2 - y_0| <= 1/2 + |y_0|;
+rounding is monotone, so |v| is at most the sample's key
+fl(fl(1/2 + |y_0|) 4x), and skipping the rows whose reach exceeds the key
+leaves the accept count unchanged bit for bit.  Once sum_j min(r/2, 1), the
+passes a key of 4x alone would skip (4x is uniform on (0, 2]), exceeds the
+cost of a sort, each block is sorted by the key and each row runs only from
+its first reachable sample on.
+
+The quadrature reads the same windows for any t >= 1/10; its cost grows
+like rows^4, and MC is cheaper below that floor.  A region has at most
+_MAX_ROWS rows, which puts the MC floor near t = 4e-6.
 """
 from __future__ import annotations
 
@@ -37,7 +50,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -48,8 +60,6 @@ __all__ = [
     "VolumeEstimate",
     "interference_order",
     "coordinate_offsets",
-    "omega_contains",
-    "counter_uniforms",
     "omega_volume",
     "omega_volume_quadrature",
 ]
@@ -58,7 +68,8 @@ _MIN_SAMPLES = 10_000
 _CHUNK = 1 << 20     # samples per _count_chunk call
 _BLOCK = 1 << 16     # samples per streamed block inside a chunk
 _QUAD_MIN_T = 0.1    # quadrature floor: up to about 1 s at t = 0.1, 6 s at t = 0.05
-_MAX_ROWS = 10 ** 6  # one Python tuple per row: about 180 MB and 6 s at the cap
+_MAX_ROWS = 10 ** 6  # three numbers per row: about 24 MB of window arrays at the cap
+_SORT_PASSES = 5.0   # sorting a block costs about as much as this many row passes
 _X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
@@ -91,33 +102,43 @@ def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[in
     still cut the region (see the module docstring).  The defaults give
     the rows -D+1 .. D alone.  Over _MAX_ROWS rows are refused up front.
     """
+    return list(range(-D + 1, _last_row(D, t, lam) + 1))
+
+
+def _last_row(D: int, t: float, lam: float) -> int:
+    """The last row of coordinate_offsets(D, t, lam), checked without listing the rows."""
     if D < 1:
         raise PreconditionError(f"D must be a positive integer; got {D}")
+    if not t > 0.0:
+        raise PreconditionError(f"t must be positive; got {t}")
+    if not lam >= 0.0:
+        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
     last = D
     if t <= 2.0:
         last = max(D, math.ceil(min(lam, 1.0 + 2.0 / t) + 2.0 / t) - 1)
     if D + last > _MAX_ROWS:
         raise PreconditionError(f"t={t} needs {D + last} rows, over {_MAX_ROWS}; "
                                 "raise --t (the floor is near 4e-6)")
-    return list(range(-D + 1, last + 1))
+    return last
 
 
-def _windows(D: int, t: float, lam: float) -> tuple[list[int], list[tuple[int, float, float]]]:
-    """The rows coordinate_offsets(D, t, lam) and, per row j != 0, its index
-    there with its window ends (j - lam) t and j t: a point leaves the region
-    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
-    if not t > 0.0:
-        raise PreconditionError(f"t must be positive; got {t}")
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
-    rows = coordinate_offsets(D, t, lam)
-    return rows, [(i, (j - lam) * t, j * t) for i, j in enumerate(rows) if j != 0]
+def _windows(D: int, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row j != 0 of coordinate_offsets(D, t, lam), as arrays: its slot
+    j + D (slot 0 carries x) and its window ends (j - lam) t and j t.  A point
+    leaves the region iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
+    slot = np.arange(1, D + _last_row(D, t, lam) + 1)
+    slot = slot[slot != D]
+    j = np.subtract(slot, D, dtype=np.float64)     # exact: |j| <= _MAX_ROWS
+    lo = j - lam
+    lo *= t
+    j *= t
+    return slot, lo, j
 
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """One region: t, lambda and the interference order D of t.  Its rows and
-    windows are one _windows result, checked and built on first use, then kept."""
+    """One region: t, lambda and the interference order D of t.  Its window
+    arrays are one _windows result, checked and built on first use, then kept."""
 
     t: float
     lam: float
@@ -131,42 +152,17 @@ class OmegaSpec:
         return cls(t=float(t), lam=float(lam))
 
     @cached_property
-    def _region(self) -> tuple[list[int], list[tuple[int, float, float]]]:
+    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's slot and window ends, one _windows result."""
         return _windows(self.D, self.t, self.lam)
 
     @property
     def rows(self) -> list[int]:
-        return self._region[0]
-
-    @property
-    def windows(self) -> list[tuple[int, float, float]]:
-        return self._region[1]
+        return coordinate_offsets(self.D, self.t, self.lam)
 
     @property
     def dims(self) -> int:
-        return len(self.rows) + 1
-
-
-def omega_contains(x: float, ys: Sequence[float], t: float, lam: float, D: int) -> bool:
-    """Membership test for one point (x, y_{-D+1}..), y_0 included in ys.
-
-    ys lists the y-coordinates of coordinate_offsets(D, t, lam) in that
-    order, so y_0 sits at index D-1.  Coordinates must lie in the
-    hypercube, x in [0, 1/2].
-    The geometry is well-defined for any t > 0 and D >= 1, so unlike the
-    volume estimators this test does not tie D to the canonical range of t.
-    """
-    D = int(D)
-    rows, windows = _windows(D, float(t), float(lam))
-    if len(ys) != len(rows):
-        raise PreconditionError(f"expected {len(rows)} y-coordinates; got {len(ys)}")
-    if not (0.0 <= x <= 0.5):
-        raise PreconditionError(f"x must lie in [0, 1/2]; got {x}")
-    for y in ys:
-        if not (-0.5 <= y <= 0.5):
-            raise PreconditionError(f"y-coordinate {y} outside [-1/2, 1/2]")
-    y0 = ys[D - 1]
-    return not any(lo <= 4.0 * x * (ys[i] - y0) <= hi for i, lo, hi in windows)
+        return len(self.windows[0]) + 2          # x, y_0 and one y per window
 
 
 class _SlotStream:
@@ -185,33 +181,22 @@ class _SlotStream:
         self._base = idx * np.uint64(slots) * _GAMMA + np.uint64(seed)
         self._z, self._w = np.empty_like(idx), np.empty_like(idx)
 
-    def fill(self, slot: int, out: np.ndarray) -> None:
-        """Write the uniforms of one slot into out (float64, one per sample)."""
-        z, w = self._z, self._w
-        np.add(self._base, np.uint64((slot + 1) * int(_GAMMA) % 2 ** 64), out=z)
+    def fill(self, slot: int, out: np.ndarray, start: int = 0) -> None:
+        """Write the uniforms of one slot into out (float64), one per sample
+        from position start on."""
+        z, w = self._z[start:], self._w[start:]
+        np.add(self._base[start:], np.uint64((slot + 1) * int(_GAMMA) % 2 ** 64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             z ^= np.right_shift(z, shift, out=w)
             z *= mult
         z ^= np.right_shift(z, 31, out=w)
         z >>= 11
-        np.multiply(z, 2.0 ** -53, out=out)
+        np.multiply(z.view(np.int64), 2.0 ** -53, out=out)   # z < 2**53: same double
 
-
-def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarray:
-    """Uniforms in [0, 1) for samples start..start+count-1, shape (slots, count).
-
-    Value (i, s) is splitmix64 output number i*slots + s for the given
-    seed: a pure function of (seed, sample index, slot), independent of
-    how sampling is chunked or ordered.  The rows are stacked from the
-    per-slot kernel that omega_volume streams: it never builds this array,
-    but generates one slot of one block at a time, so its memory per
-    thread is O(block) for any D.
-    """
-    stream = _SlotStream(seed, start, count, slots)
-    out = np.empty((slots, count), dtype=np.float64)
-    for slot in range(slots):
-        stream.fill(slot, out[slot])
-    return out
+    def reorder(self, order: np.ndarray) -> None:
+        """Put the samples in the given order; later fills follow it."""
+        np.take(self._base, order, out=self._z, mode="clip")
+        self._base, self._z = self._z, self._base
 
 
 @dataclass(frozen=True)
@@ -246,15 +231,19 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     Blocks cut the sample indices at multiples of _BLOCK.  Each holds x, y_0
     and one reused row buffer: every other slot is generated into it, cut
     by its row's window and overwritten by the next, so memory is
-    O(_BLOCK) for any D.
+    O(_BLOCK) for any D.  Past _SORT_PASSES, blocks are sorted by the reach
+    key and rows skip the samples that cannot reach them (module docstring).
     """
-    windows, slots = spec.windows, spec.dims
+    slots, lo_ends, hi_ends = spec.windows
+    reach = np.maximum(np.maximum(lo_ends, -hi_ends), 0.0)
+    presort = np.minimum(reach / 2.0, 1.0).sum() > _SORT_PASSES
+    firsts = np.zeros(len(slots), dtype=np.intp)
     end = start + count
     cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
     accepted = 0
     for lo, hi in zip(cuts, cuts[1:]):
         n = hi - lo
-        stream = _SlotStream(seed, lo, n, slots)
+        stream = _SlotStream(seed, lo, n, spec.dims)
         x4, y0, v = np.empty(n), np.empty(n), np.empty(n)
         hit, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         rejected = np.zeros(n, dtype=bool)
@@ -263,14 +252,24 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
         x4 *= 2.0                        # 4x with x = (1-u)/2 in (0, 1/2]
         stream.fill(spec.D, y0)          # slot D carries y_0 (offset j=0)
         y0 -= 0.5
-        for i, lo_end, hi_end in windows:
-            stream.fill(i + 1, v)        # slot 0 carries x
-            v -= 0.5
-            v -= y0
-            v *= x4
-            np.greater_equal(v, lo_end, out=hit)
-            hit &= np.less_equal(v, hi_end, out=below)
-            rejected |= hit
+        if presort:
+            np.abs(y0, out=v)
+            v += 0.5
+            v *= x4                      # the key, >= |v| in every row's test below
+            order = np.argsort(v)
+            firsts = np.searchsorted(v[order], reach)
+            x4 = x4[order]
+            y0 = y0[order]
+            stream.reorder(order)
+        for slot, lo_end, hi_end, k in zip(slots, lo_ends, hi_ends, firsts):
+            vk, hk = v[k:], hit[k:]
+            stream.fill(int(slot), vk, k)
+            vk -= 0.5
+            vk -= y0[k:]
+            vk *= x4[k:]
+            np.greater_equal(vk, lo_end, out=hk)
+            hk &= np.less_equal(vk, hi_end, out=below[k:])
+            rejected[k:] |= hk
         accepted += n - int(np.count_nonzero(rejected))
     return accepted
 
@@ -321,8 +320,8 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     t, lam = float(t), float(lam)
     if not _QUAD_MIN_T <= t < math.inf:
         raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
-    ends = np.array([w[1:] for w in OmegaSpec.for_t(t, lam).windows])
-    k_all = np.append(ends, 0.0)
+    _, lo_ends, hi_ends = OmegaSpec.for_t(t, lam).windows
+    k_all = np.concatenate([lo_ends, hi_ends, [0.0]])
     cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
     edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))
     xs, xw = 0.5 + 0.5 * _X_NODES[0], 0.5 * _X_NODES[1]      # on (0, 1)
@@ -331,9 +330,10 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
         # No window end crosses a cube face inside (a, b): which windows cover
         # the cube, meet it or end inside it is read at its midpoint, 4x = x4.
         x4 = 2.0 * (a + b)
-        if np.any((ends[:, 0] <= -x4) & (ends[:, 1] >= x4)):
+        if np.any((lo_ends <= -x4) & (hi_ends >= x4)):
             continue                     # a window covers the cube for every y_0
-        lo, hi = ends[(ends[:, 1] >= -x4) & (ends[:, 0] <= x4)].T
+        meets = (hi_ends >= -x4) & (lo_ends <= x4)
+        lo, hi = lo_ends[meets], hi_ends[meets]
         k = k_all[(k_all != 0.0) & (np.abs(k_all) < x4)]
         x = a * (b / a) ** xs if a > 0.0 else b * xs
         wx = xw * (x * math.log(b / a) if a > 0.0 else b)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nfgaps import (DEFAULT_GRID, angle_sequence, build_curve, empirical_G, limit_G,
-                    normalized_gaps, thresholds)
+from nfgaps import (DEFAULT_GRID, PreconditionError, angle_sequence, build_curve,
+                    empirical_G, limit_G, normalized_gaps, thresholds)
+from nfgaps.omega import _SlotStream
 
 
 def brute_force_curve(q: int, h: int, centered: bool = True) -> set[tuple[int, int]]:
@@ -94,6 +95,43 @@ def region_volume_G(t: float, lam: float) -> float:
 
     x_cuts = [t * abs(k - k2) / 4 for k in slopes for k2 in slopes if k != k2]
     return 2.0 * _piecewise_quad(over_y0, 0.0, 0.5, x_cuts)
+
+
+def omega_contains(x: float, ys, t: float, lam: float, D: int) -> bool:
+    """Membership of one point (x, y_{-D+1}, ..) in the limit region, from the
+    window definition in the `omega` module docstring.
+
+    ys lists y_j for j = -D+1 .. D, then for t <= 2 every j > D with
+    j < min(lam, 1 + 2/t) + 2/t, so y_0 sits at index D-1.  The point is out
+    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row j != 0.  D is taken
+    as given, not tied to the interference order of t.
+    """
+    if not (t > 0.0 and lam >= 0.0):
+        raise PreconditionError(f"need t > 0 and lambda >= 0 (--lambda); got {t}, {lam}")
+    rows = list(range(-D + 1, D + 1))
+    while t <= 2.0 and rows[-1] + 1 < min(lam, 1.0 + 2.0 / t) + 2.0 / t:
+        rows.append(rows[-1] + 1)
+    if len(ys) != len(rows):
+        raise PreconditionError(f"expected {len(rows)} y-coordinates; got {len(ys)}")
+    if not (0.0 <= x <= 0.5 and all(-0.5 <= y <= 0.5 for y in ys)):
+        raise PreconditionError(f"point outside the half-cube: x={x}, ys={ys}")
+    y0 = ys[D - 1]
+    return not any((j - lam) * t <= 4.0 * x * (y - y0) <= j * t
+                   for j, y in zip(rows, ys) if j != 0)
+
+
+def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarray:
+    """Uniforms in [0, 1) for samples start..start+count-1, shape (slots, count).
+
+    Value (i, s) is splitmix64 output number i*slots + s for the given seed.
+    The rows are stacked from the per-slot kernel that `omega_volume`
+    streams, so a pin of this array pins the production stream.
+    """
+    stream = _SlotStream(seed, start, count, slots)
+    out = np.empty((slots, count), dtype=np.float64)
+    for slot in range(slots):
+        stream.fill(slot, out[slot])
+    return out
 
 
 @lru_cache(maxsize=64)

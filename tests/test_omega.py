@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfgaps import (OmegaSpec, PreconditionError, counter_uniforms, interference_order,
-                    limit_G, omega, omega_contains, omega_volume, omega_volume_quadrature)
+from nfgaps import (OmegaSpec, PreconditionError, interference_order, limit_G, omega,
+                    omega_volume, omega_volume_quadrature)
 from nfgaps.cli import run
 from nfgaps.omega import _BLOCK, _count_chunk, coordinate_offsets
 
-from conftest import region_volume_G
+from conftest import counter_uniforms, omega_contains, region_volume_G
 
 
 class TestInterferenceOrder:
@@ -179,19 +179,30 @@ class TestCounterStream:
 
 class TestStreamedCount:
     @settings(max_examples=40, deadline=None)
-    @given(t=st.floats(0.3, 4.0), lam=st.floats(0.0, 6.0),
+    @given(t=st.floats(0.02, 4.0), lam=st.floats(0.0, 6.0),
            seed=st.integers(0, 2 ** 64 - 1), block=st.integers(0, 3),
            offset=st.integers(-800, 800), count=st.integers(1, 1600))
     @example(t=1.45, lam=2.0, seed=42, block=1, offset=-700, count=1500)
+    @example(t=0.1, lam=1.0, seed=42, block=1, offset=-700, count=1500)
     def test_matches_per_point_reference(self, t, lam, seed, block, offset, count):
         # the streamed count equals the count of counter_uniforms points that
-        # omega_contains accepts, across block edges and rows past D
+        # omega_contains accepts, across block edges and rows past D; below
+        # t = 1/2 the blocks are sorted and rows skip unreachable samples
         spec = OmegaSpec.for_t(t, lam)
         start = max(0, block * _BLOCK + offset)
         u = counter_uniforms(seed, start, count, spec.dims)
         expected = sum(omega_contains(0.5 * (1.0 - u[0, k]), u[1:, k] - 0.5,
                                       spec.t, spec.lam, spec.D) for k in range(count))
         assert _count_chunk(spec, seed, start, count) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_count_omega_deep(self, threads):
+        # the benchmark's omega-deep command at seed 0; the count predates
+        # the sorted blocks, which must not move it
+        assert omega_volume(0.1, 1.0, 4194304, seed=42, threads=threads).accepted == 1684982
+
+    def test_pinned_count_small_t(self):
+        assert omega_volume(0.02, 0.57, 2 ** 20, seed=7).accepted == 608183
 
     def test_memory_flat_in_d(self):
         # D = 21: holding all 43 slots of one 2**20-sample chunk would take 344 MiB
