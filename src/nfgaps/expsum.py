@@ -43,13 +43,20 @@ __all__ = [
 ]
 
 
+# A neighbor-flip graph holds (2D+1)(p-2D) int64 cells: about 800 MB at the cap.
+_MAX_GRAPH_CELLS = 10 ** 8
+
+
 @lru_cache(maxsize=32)
 def inverse_table(p: int) -> np.ndarray:
-    """Inverses mod a prime p for 1..p-1 (index 0 holds 0), by Fermat's n^(p-2)."""
+    """Read-only inverses mod a prime p for 1..p-1 (index 0 holds 0), read
+    off the powers of a primitive root (`modcurve._inverse_table`)."""
     if not is_prime(p):
         raise PreconditionError(f"inverse table requires a prime modulus; got {p}")
     _check_array_modulus(p, "--p")
-    return _inverse_table(p)
+    table = _inverse_table(p)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,18 @@ class FracLinear:
         return (self.a + self.b * x) * mod_inverse(den, self.p) % self.p
 
     def value_table(self) -> np.ndarray:
-        """Values over x = 0..p-1; the pole slot holds -1."""
-        inv = inverse_table(self.p)
-        x = np.arange(self.p, dtype=np.int64)
-        den = (self.c + self.e * x) % self.p
-        vals = (self.a + self.b * x) % self.p * inv[den] % self.p
+        """Values over x = 0..p-1; the pole slot holds -1.
+
+        With u = c + e x the map is b/e + (a e - b c)/e * u^-1, so the table
+        is one gather from the inverse table, scaled and shifted mod p.
+        """
+        p, e_inv = self.p, mod_inverse(self.e, self.p)
+        den = np.arange(self.c, self.c + self.e * p, self.e, dtype=np.int64)
+        den %= p
+        vals = inverse_table(p)[den]
+        vals *= (self.a * self.e - self.b * self.c) * e_inv % p
+        vals += self.b * e_inv % p
+        vals %= p
         vals[self.pole] = -1
         return vals
 
@@ -128,13 +142,14 @@ class FracLinearTuple:
     @cached_property
     def graph(self) -> np.ndarray:
         """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole,
-        in ascending x; int64, shape (d+1, p-d), built once per tuple."""
+        in ascending x; read-only int64, shape (d+1, p-d), built once per tuple."""
         keep = np.ones(self.p, dtype=bool)
         keep[list(self.poles)] = False
         graph = np.empty((self.d + 1, self.p - self.d), dtype=np.int64)
         graph[0] = np.flatnonzero(keep)
         for row, f in zip(graph[1:], self.funcs):
             row[:] = f.value_table()[keep]
+        graph.flags.writeable = False
         return graph
 
 
@@ -142,7 +157,8 @@ def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
     """The 2D maps m -> (m+j) * (1 - h(m+j))^(-1) for row offsets j = -D+1..D.
 
     The offset-j map has its pole at h^(-1) - j, so the poles are distinct
-    as soon as 2D < p.
+    as soon as 2D < p.  A graph over _MAX_GRAPH_CELLS cells is refused
+    before any map is built.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus must be prime; got {p}")
@@ -152,6 +168,11 @@ def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
         raise PreconditionError(f"D must be a positive integer; got {D}")
     if 2 * D >= p:
         raise PreconditionError(f"need 2D < p for distinct poles; got D={D}, p={p}")
+    _check_array_modulus(p, "--p")
+    cells = (2 * D + 1) * (p - 2 * D)
+    if cells > _MAX_GRAPH_CELLS:
+        raise PreconditionError(f"--D {D} at --p {p} needs a graph of {cells} cells, "
+                                f"over {_MAX_GRAPH_CELLS}; lower --D or --p")
     funcs = tuple(
         FracLinear(p=p, a=j, b=1, c=1 - h * j, e=-h)
         for j in range(-D + 1, D + 1)

@@ -9,10 +9,11 @@ invertible mod q.  Points come in two coordinate conventions:
 * raw: representatives in [0, q-1].
 
 All arithmetic is exact integer arithmetic, so composite moduli work
-uniformly.  Curves are built from one int64 table of inverses mod q, a
-vectorised power n^(e) mod q (Fermat for prime q, Euler for composite q),
-whose products of two residues stay below q^2; q must therefore satisfy
-q^2 < 2^63, i.e. q <= 3037000499.  The scalar `mod_inverse` has no bound.
+uniformly.  Curves are built from one int64 table of inverses mod q, read
+off the powers of a generator of the units mod each prime power of q and
+joined by the Chinese remainder theorem, in O(q) steps.  Its products of
+two residues stay below q^2; q must therefore satisfy q^2 < 2^63, i.e.
+q <= 3037000499.  The scalar `mod_inverse` has no bound.
 """
 from __future__ import annotations
 
@@ -55,36 +56,82 @@ def _check_array_modulus(q: int, flag: str) -> None:
         )
 
 
-def _power_table(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    """base^e mod q elementwise, by square-and-multiply; overwrites base.
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {prime: exponent} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
-    Every intermediate product is below q^2, so q must pass
-    `_check_array_modulus`.
+
+def _unit_generator(p: int, k: int) -> int:
+    """A generator of the units mod p^k for an odd prime p.
+
+    The least primitive root g mod p generates the units mod every p^k
+    unless g^(p-1) = 1 mod p^2, and then g + p does.  Among the p with
+    p^2 <= ARRAY_MODULUS_MAX that happens only for p = 40487 (g = 5).
     """
-    result = np.ones_like(base)
-    while e:
-        if e & 1:
-            np.multiply(result, base, out=result)
-            np.remainder(result, q, out=result)
-        e >>= 1
-        if e:
-            np.multiply(base, base, out=base)
-            np.remainder(base, q, out=base)
-    return result
+    cofactors = [(p - 1) // r for r in _factor(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+    return g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _prime_power_inverses(p: int, k: int) -> np.ndarray:
+    """int64 table of the inverses mod m = p^k for an odd prime p, 0 at
+    every non-unit.
+
+    The units mod m are the powers g^0 .. g^(phi-1) of one generator g, and
+    g^i has the inverse g^(phi-i).  The powers are filled by doubling:
+    block [n, 2n) is block [0, n) times g^n, so every product stays below
+    m^2.
+    """
+    m = p ** k
+    phi = m - m // p
+    g = _unit_generator(p, k)
+    powers = np.empty(phi, dtype=np.int64)
+    powers[0] = 1
+    n = 1
+    while n < phi:
+        block = powers[n:2 * n]
+        np.multiply(powers[:len(block)], pow(g, n, m), out=block)
+        np.remainder(block, m, out=block)
+        n += len(block)
+    inv = np.zeros(m, dtype=np.int64)
+    inv[1] = 1
+    inv[powers[1:]] = powers[:0:-1]
+    return inv
 
 
 def _inverse_table(q: int) -> np.ndarray:
     """int64 table of length q: the inverse of n mod q in [1, q-1] at every
     unit n, 0 at every non-unit.
 
-    A unit n has n^-1 = n^(phi(q)-1) mod q (Euler); for prime q that is
-    Fermat's n^(q-2), and 0 maps to 0 by itself.
+    Each prime power m of q gets its own table (`_prime_power_inverses`);
+    a table of one prime power is returned as it is.  Otherwise the tables
+    are joined by the Chinese remainder theorem: tiled over q, each one is
+    weighted by the residue that is 1 mod m and 0 mod q/m, and the weighted
+    sum is reduced mod q.  Every product stays below q^2, so q must pass
+    `_check_array_modulus`.
     """
-    n = np.arange(q, dtype=np.int64)
-    if is_prime(q):
-        return _power_table(n, q - 2, q)
-    units = np.gcd(n, q) == 1
-    inv = _power_table(n, int(np.count_nonzero(units)) - 1, q)
+    factors = _factor(q)
+    if len(factors) == 1:
+        return _prime_power_inverses(*factors.popitem())
+    inv = np.zeros(q, dtype=np.int64)
+    units = np.ones(q, dtype=bool)
+    for p, k in factors.items():
+        rest = q // p ** k
+        part = np.tile(_prime_power_inverses(p, k), rest)
+        units &= part != 0
+        part *= rest * pow(rest, -1, p ** k)
+        part %= q
+        inv += part
+    inv %= q
     inv[~units] = 0
     return inv
 

@@ -42,6 +42,22 @@ def _naive_inverse(n: int, q: int) -> int:
     raise AssertionError(f"{n} not invertible mod {q}")
 
 
+def power_table_inverses(q: int) -> np.ndarray:
+    """Inverses mod odd q by Euler's n^(phi(q)-1), Fermat's n^(q-2) for prime
+    q: square-and-multiply over the whole residue array, 0 at non-units."""
+    n = np.arange(q, dtype=np.int64)
+    units = np.gcd(n, q) == 1
+    e = int(np.count_nonzero(units)) - 1
+    inv = np.ones_like(n)
+    while e:
+        if e & 1:
+            inv = inv * n % q
+        e >>= 1
+        n = n * n % q
+    inv[~units] = 0
+    return inv
+
+
 def _piecewise_quad(f, lo: float, hi: float, cuts) -> float:
     """quad over [lo, hi] split at every cut, near-duplicate cuts merged."""
     edges = [lo]

@@ -144,6 +144,17 @@ class TestExpsumCommand:
     def test_requires_work(self, tmp_path):
         assert run(["expsum", "--p", "101", "--out", str(tmp_path)]) == 2
 
+    def test_graph_over_the_cell_cap(self, tmp_path, capsys, monkeypatch):
+        # about 4e9 int64 cells: refused before any map or array is built
+        def no_map(**kwargs):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("nfgaps.expsum.FracLinear", no_map)
+        assert run(["expsum", "--p", "2000003", "--D", "1000", "--sum-b", "1",
+                    "--out", str(tmp_path)]) == 2
+        assert "--D" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_box_window_arity(self, tmp_path, capsys):
         assert run(["expsum", "--p", "101", "--box", "0:50", "0:50",
                     "--out", str(tmp_path)]) == 2

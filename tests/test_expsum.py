@@ -74,6 +74,14 @@ class TestNeighborFlipTuple:
         for m in range(1, 7):
             assert r1(m) == (m + 1) * pow(-m, -1, 7) % 7
 
+    def test_graph_cell_cap(self, monkeypatch):
+        # (2D+1)(p-2D) = 3 * 99 cells at p = 101, D = 1
+        monkeypatch.setattr("nfgaps.expsum._MAX_GRAPH_CELLS", 297)
+        assert neighbor_flip_tuple(101, 1, 1).graph.size == 297
+        monkeypatch.setattr("nfgaps.expsum._MAX_GRAPH_CELLS", 296)
+        with pytest.raises(PreconditionError, match="--D"):
+            neighbor_flip_tuple(101, 1, 1)
+
     def test_poles_follow_shift_inverse(self):
         p, h, D = 11, 2, 2
         tup = neighbor_flip_tuple(p, h, D)
@@ -254,6 +262,32 @@ class TestGraph:
         for x, *values in graph.T.tolist():
             assert values == [f(x) for f in tup.funcs]
 
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            neighbor_flip_tuple(101, 2, 2).graph[1, 0] = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([q for q in range(3, 200) if is_prime(q)]))
+    def test_random_maps_match_pointwise(self, data, p):
+        residues = st.integers(0, p - 1)
+        funcs, poles = [], set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b, c = data.draw(residues), data.draw(residues), data.draw(residues)
+            e = data.draw(st.integers(1, p - 1))
+            if (a * e - b * c) % p == 0 or (-c * pow(e, -1, p)) % p in poles:
+                continue
+            f = FracLinear(p=p, a=a, b=b, c=c, e=e)
+            funcs.append(f)
+            poles.add(f.pole)
+            assert f.value_table().tolist() == [-1 if x == f.pole else f(x)
+                                                for x in range(p)]
+        if not funcs:
+            return
+        tup = FracLinearTuple(p=p, funcs=tuple(funcs))
+        assert tup.graph.tolist() == [[x for x in range(p) if x not in poles],
+                                      *([f(x) for x in range(p) if x not in poles]
+                                        for f in funcs)]
+
     def test_value_tables_built_once(self, monkeypatch):
         calls = []
         table = FracLinear.value_table
@@ -298,6 +332,11 @@ class TestInverseTable:
     def test_prime_required(self):
         with pytest.raises(PreconditionError):
             inverse_table(15)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            inverse_table(7)[3] = 0
+        assert inverse_table(7).tolist() == [0, 1, 4, 5, 2, 3, 6]
 
     def test_int64_bound(self):
         # 3037000507 is prime and its residue products overflow int64.

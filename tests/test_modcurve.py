@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from nfgaps import (PreconditionError, build_curve, build_nf_curve,
                     is_prime, mod_inverse, mod_inverse_centered, nf_union)
 from nfgaps.cli import run
-from nfgaps.modcurve import ARRAY_MODULUS_MAX
+from nfgaps.modcurve import ARRAY_MODULUS_MAX, _factor, _inverse_table, _unit_generator
 
-from conftest import brute_force_curve
+from conftest import brute_force_curve, power_table_inverses
 
 
 class TestModInverse:
@@ -119,6 +120,29 @@ class TestBuildCurve:
         assert ps != build_curve(101, 4) and ps != build_nf_curve(101, 3)
         with pytest.raises(ValueError):
             ps.x[0] = 0
+
+
+class TestInverseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 9999).map(lambda k: 2 * k + 1))
+    def test_matches_power_table(self, q):
+        assert np.array_equal(_inverse_table(q), power_table_inverses(q))
+
+    @pytest.mark.parametrize("q", [3 ** 9, 5 ** 6 * 7, 3 * 5 * 7 * 11 * 13, 9 * 25 * 49,
+                                   1000667])
+    def test_prime_powers_products_and_a_safe_prime(self, q):
+        # 1000667 - 1 = 2 * 500333 with 500333 prime
+        assert np.array_equal(_inverse_table(q), power_table_inverses(q))
+
+    @pytest.mark.parametrize("p, k, g", [(3, 9, 2), (7, 1, 3), (40487, 1, 5),
+                                         (40487, 2, 5 + 40487)])
+    def test_unit_generator(self, p, k, g):
+        # 5 is a primitive root mod 40487 but 5^40486 = 1 mod 40487^2, a table
+        # too large to build here, so its generator is checked by its order
+        assert _unit_generator(p, k) == g
+        m = p ** k
+        phi = m - m // p
+        assert all(pow(g, phi // r, m) != 1 for r in _factor(phi))
 
 
 class TestArrayModulusBound:
