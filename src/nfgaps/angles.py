@@ -17,7 +17,6 @@ the order is fixed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -261,7 +260,8 @@ def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float
         points = list(points)
     xs, ys, _ = _coordinates(points, J)
     seq = angle_sequence(points, t, J)
-    carried = np.full(seq.n, np.nan)
+    carried = np.empty(seq.n)
     carried[seq.order[:-1]] = normalized_gaps(seq).gaps
-    return [(x, y, None if math.isnan(g) else g)
-            for x, y, g in zip(xs.tolist(), ys.tolist(), carried.tolist())]
+    carried = carried.tolist()
+    carried[seq.order[-1]] = None
+    return list(zip(xs.tolist(), ys.tolist(), carried))

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nfgaps import (DEFAULT_GRID, PreconditionError, angle_sequence, build_curve,
-                    empirical_G, limit_G, normalized_gaps, thresholds)
+from nfgaps import (DEFAULT_GRID, CurvePointSet, PreconditionError, angle_sequence,
+                    build_curve, empirical_G, limit_G, normalized_gaps, thresholds)
+from nfgaps.angles import _coordinates
 from nfgaps.omega import _SlotStream
 
 
@@ -148,6 +149,19 @@ def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarra
     for slot in range(slots):
         stream.fill(slot, out[slot])
     return out
+
+
+def per_point_rows(points, t, J: int | None = None) -> list[tuple[int, int, float | None]]:
+    """`gap_per_point` row by row: carried gaps in a NaN-filled array, then one
+    tuple per point in input order, None where the carried gap is NaN."""
+    if not isinstance(points, CurvePointSet):
+        points = list(points)
+    xs, ys, _ = _coordinates(points, J)
+    seq = angle_sequence(points, t, J)
+    carried = np.full(seq.n, np.nan)
+    carried[seq.order[:-1]] = normalized_gaps(seq).gaps
+    return [(x, y, None if math.isnan(g) else g)
+            for x, y, g in zip(xs.tolist(), ys.tolist(), carried.tolist())]
 
 
 @lru_cache(maxsize=64)

@@ -11,13 +11,17 @@ from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
                     angle_sequence, build_curve, empirical_G, gap_per_point,
                     normalized_gaps)
 
-from conftest import cached_gap_sample
+from conftest import cached_gap_sample, per_point_rows
 
 
 def slope_order_oracle(points, t: Fraction, J: int):
     """Independent ordering oracle: sort by exact rational slope."""
     a, b = t.numerator, t.denominator
     return sorted(points, key=lambda p: Fraction(p[1], b * p[0] + a * J * J))
+
+
+# q = 3 leaves one curve point, which has no gap.
+ODD_PRIMES = [q for q in range(5, 3000, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2))]
 
 
 @st.composite
@@ -281,6 +285,18 @@ class TestGapPerPoint:
         rows = gap_per_point(ps, 3)
         assert [(x, y) for x, y, _ in rows] == list(ps.points)
         assert sum(g is None for _, _, g in rows) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from(ODD_PRIMES), h=st.integers(1, 2 ** 16),
+           t=st.sampled_from([Fraction("2.76"), Fraction("1.45"), Fraction(1, 3)]))
+    def test_rows_match_per_row_oracle(self, q, h, t):
+        ps = build_curve(q, h % (q - 1) + 1)
+        rows = gap_per_point(ps, t)
+        assert rows == per_point_rows(ps, t)
+        # the angularly last point: largest exact slope key, the later one on a tie
+        key = lambda i: Fraction(rows[i][1], t.denominator * rows[i][0] + t.numerator * ps.J ** 2)
+        last = max(reversed(range(len(rows))), key=key)
+        assert [i for i, (_, _, g) in enumerate(rows) if g is None] == [last]
 
     def test_close_observer_shifts_gaps_small(self):
         # near observer: small gaps dominate; median drops versus a far observer
