@@ -64,10 +64,6 @@ class ObserverFrame:
                 f"got t={self.t}, J={self.J}"
             )
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (-float(self.t) * self.J * self.J, 0.0)
-
 
 @dataclass(eq=False)
 class AngleSequence:

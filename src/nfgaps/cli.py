@@ -20,7 +20,7 @@ from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, converge
                           equidistribution_check, exponential_limit_scan, h_independence)
 from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
                      neighbor_flip_tuple)
-from .limitdist import classify_region, limit_density, limit_G, tile_map
+from .limitdist import classify_region, limit_density, limit_G
 from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
 from .omega import omega_volume, omega_volume_quadrature
 from .output import manifest, write_csv, write_json
@@ -219,11 +219,10 @@ def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
             for lam in args.grid.values()]
     files = {f"limit_t{t:g}.csv": (["lambda", "G_limit", "g_limit", "region"], rows)}
     if args.tile_t is not None:
-        t_values, lam_values = args.tile_t.values(), args.tile_lambda.values()
+        lam_values = args.tile_lambda.values()
         files["tiles.csv"] = ["t", "lambda", "region"], [
-            (tt, lam, region.value)
-            for tt, row in zip(t_values, tile_map(t_values, lam_values))
-            for lam, region in zip(lam_values, row)]
+            (tt, lam, classify_region(tt, lam).value)
+            for tt in args.tile_t.values() for lam in lam_values]
     return _write_csvs(out, files)
 
 
@@ -308,17 +307,16 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
         reports, curves = [], {}
     else:
         reports, curves = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
+    lams = grid.values()
+    files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], zip(lams, curve))
+             for (q, h, t), curve in (curves.items() if args.curves else ())}
+    if args.curves and len(files) < len(curves):
+        raise PreconditionError("--t values must differ in their first 6 significant digits "
+                                "with --curves, which names each curve file by t")
     cells = [{**r.config, "sup_distance": r.sup_distance, "argmax_lambda": r.argmax_lambda}
              for r in reports]
     write_json(out / "report.json", {"config": config, "cells": cells}, indent=2)
-    artifacts = ["report.json"]
-    if args.curves:
-        lams = grid.values()
-        for (q, h, t), curve in curves.items():
-            name = f"curve_q{q}_h{h}_t{float(t):g}.csv"
-            write_csv(out / name, ["lambda", "G_emp"], zip(lams, curve))
-            artifacts.append(name)
-    return artifacts
+    return ["report.json", *_write_csvs(out, files)]
 
 
 _HANDLERS = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,24 +121,28 @@ def uniform_ks_statistic(values: Sequence[float]) -> float:
     return float(max(np.max(i / n - u), np.max(u - (i - 1) / n)))
 
 
+def _scan(cells: Iterable[tuple[int, int, Fraction]], ref: np.ndarray, grid: LambdaGrid,
+          flag_prime: bool = False) -> ScanResult:
+    """Each (q, h, t) cell's empirical curve and its distance to one reference curve."""
+    reports, curves = [], {}
+    for q, h, t in cells:
+        emp = curves[q, h, t] = empirical_gap_curve(q, h, t, grid)
+        prime = {"prime": is_prime(q)} if flag_prime else {}
+        reports.append(_report({"q": q, "h": h, "t": float(t), **prime}, emp, ref, grid))
+    return reports, curves
+
+
 def convergence_scan(t, h: int, primes: Sequence[int],
                      grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of each prime's empirical curve to the closed-form limit."""
     t_frac = as_fraction(t)
-    if t_frac < 1:
-        raise PreconditionError(
-            f"convergence scans need t >= 1 (closed form available); got t={t_frac}"
-        )
     ref = _limit_curve(float(t_frac), grid)
-    reports, curves = [], {}
     for p in primes:
         if not is_prime(p):
             raise PreconditionError(f"convergence scans accept prime moduli only; got {p}")
         if h % p == 0:
             raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
-        emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
-        reports.append(_report({"q": p, "h": h, "t": float(t_frac)}, emp, ref, grid))
-    return reports, curves
+    return _scan(((p, h, t_frac) for p in primes), ref, grid)
 
 
 def h_independence(t, p: int, h_list: Sequence[int],
@@ -169,17 +173,8 @@ def composite_contrast(q_values: Sequence[int], t, h: int,
     convention and are skipped.
     """
     t_frac = as_fraction(t)
-    if t_frac < 1:
-        raise PreconditionError(f"the reference limit needs t >= 1; got t={t_frac}")
     ref = _limit_curve(float(t_frac), grid)
-    reports, curves = [], {}
-    for q in q_values:
-        if q % 2 == 0:
-            continue
-        emp = curves[q, h, t_frac] = empirical_gap_curve(q, h, t_frac, grid)
-        reports.append(_report({"q": q, "h": h, "t": float(t_frac), "prime": is_prime(q)},
-                               emp, ref, grid))
-    return reports, curves
+    return _scan(((q, h, t_frac) for q in q_values if q % 2), ref, grid, flag_prime=True)
 
 
 def equidistribution_check(p: int, h: int, t) -> float:
@@ -199,10 +194,4 @@ def exponential_limit_scan(p: int, h: int, t_list: Sequence,
     column arrangement; empirical curves approach it as t decreases toward
     1/J.  The closeness thresholds applied by callers are harness choices.
     """
-    ref = np.exp(-grid.values())
-    reports, curves = [], {}
-    for t in t_list:
-        t_frac = as_fraction(t)
-        emp = curves[p, h, t_frac] = empirical_gap_curve(p, h, t_frac, grid)
-        reports.append(_report({"q": p, "h": h, "t": float(t_frac)}, emp, ref, grid))
-    return reports, curves
+    return _scan(((p, h, as_fraction(t)) for t in t_list), np.exp(-grid.values()), grid)

@@ -27,6 +27,11 @@ have removable singularities where the coefficient and the log argument
 vanish together (e.g. at lam = 1); these evaluate to their limit 0, never
 by epsilon-fudging.
 
+For t >= 2, G depends on t (lam - 1) alone, so every t > 2 reads its
+tables at t = 2 and lam' = 1 + t (lam - 1)/2, and large t neither
+overflows nor cancels.  Once 1 +- 2/t rounds to 1, the C2 and C3 tiles
+are empty in float arithmetic.
+
 G is continuously differentiable in lambda except at lam = 1, where the
 density has an integrable logarithmic spike.
 """
@@ -35,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import PreconditionError
 
@@ -47,7 +51,6 @@ __all__ = [
     "branch_derivative",
     "limit_G",
     "limit_density",
-    "tile_map",
     "integral_of_G",
 ]
 
@@ -165,6 +168,17 @@ def _branch_table(region: Region, t: float) -> _Branch:
     raise ValueError(f"no branch table for {region}")
 
 
+def _reduced(region: Region, t: float, lam: float) -> tuple[float, float, float]:
+    """(t', lam', dlam'/dlam) at which a branch reads its table: t' <= 2 always.
+    ONE and ZERO depend on neither t nor lam and keep lam, finite at t = inf."""
+    if t <= 2.0:
+        return t, lam, 1.0
+    if region in (Region.ONE, Region.ZERO):
+        return 2.0, lam, 1.0
+    s = 0.5 * t
+    return 2.0, 1.0 + s * (lam - 1.0), s
+
+
 def _check_domain(t: float, lam: float) -> tuple[float, float]:
     t = float(t)
     lam = float(lam)
@@ -217,14 +231,13 @@ def branch_value(region: Region, t: float, lam: float) -> float:
     Valid on the branch's closed tile; log terms whose argument vanishes
     there have vanishing coefficients and contribute their limit 0.
     """
-    t, lam = _check_domain(t, lam)
+    t, lam, _ = _reduced(region, *_check_domain(t, lam))
     br = _branch_table(region, t)
     acc = 0.0
     for k in range(len(br.poly) - 1, -1, -1):
         acc = acc * lam + br.poly[k]
     a, b = br.log_2t
-    if a != 0.0 or b != 0.0:
-        acc += (a + b * lam) * math.log(2.0 / t)
+    acc += (a + b * lam) * math.log(2.0 / t)
     for (ai, bi, u0, u1) in br.logs:
         u = u0 + u1 * lam
         coef = ai + bi * lam
@@ -248,14 +261,12 @@ def branch_derivative(region: Region, t: float, lam: float) -> float:
     signed infinity of the dominant log term is returned (this happens only
     at lambda = 1).
     """
-    t, lam = _check_domain(t, lam)
+    t, lam, s = _reduced(region, *_check_domain(t, lam))
     br = _branch_table(region, t)
     acc = 0.0
     for k in range(len(br.poly) - 1, 0, -1):
         acc = acc * lam + k * br.poly[k]
-    _, b = br.log_2t
-    if b != 0.0:
-        acc += b * math.log(2.0 / t)
+    acc += br.log_2t[1] * math.log(2.0 / t)
     for (ai, bi, u0, u1) in br.logs:
         u = u0 + u1 * lam
         if u <= 0.0:
@@ -265,7 +276,7 @@ def branch_derivative(region: Region, t: float, lam: float) -> float:
         acc += bi * math.log(u) + (ai + bi * lam) * u1 / u
     for (c, k) in br.poles:
         acc -= c / (lam - k) ** 2
-    return acc / br.den
+    return acc / br.den * s
 
 
 def _antiderivative(region: Region, t: float, lam: float) -> float:
@@ -275,18 +286,18 @@ def _antiderivative(region: Region, t: float, lam: float) -> float:
     B = b/u1 and A = a - B u0; its antiderivative [A (u log u - u) + B (u^2
     log u / 2 - u^2 / 4)] / u1 tends to 0 as u -> 0 (u < 0 is off the tile).
     """
+    t, lam, s = _reduced(region, t, lam)
     br = _branch_table(region, t)
     acc = sum(p * lam ** (k + 1) / (k + 1) for k, p in enumerate(br.poly))
     a, b = br.log_2t
-    if a != 0.0 or b != 0.0:
-        acc += (a + 0.5 * b * lam) * lam * math.log(2.0 / t)
+    acc += (a + 0.5 * b * lam) * lam * math.log(2.0 / t)
     for (ai, bi, u0, u1) in br.logs:
         u = u0 + u1 * lam
         if u > 0.0:
             B, log_u = bi / u1, math.log(u)
             acc += ((ai - B * u0) * u * (log_u - 1.0) + B * u * u * (0.5 * log_u - 0.25)) / u1
     acc += sum(c * math.log(abs(lam - k)) for c, k in br.poles)
-    return acc / br.den
+    return acc / br.den / s
 
 
 def limit_G(t: float, lam: float) -> float:
@@ -298,11 +309,6 @@ def limit_density(t: float, lam: float) -> float:
     """Limiting gap density, -dG/dlambda; +inf at the logarithmic spike lam = 1."""
     deriv = branch_derivative(classify_region(t, lam), float(t), float(lam))
     return 0.0 if deriv == 0.0 else -deriv
-
-
-def tile_map(t_values: Sequence[float], lam_values: Sequence[float]) -> list[list[Region]]:
-    """Region tags on the product grid; rows follow t_values."""
-    return [[classify_region(t, lam) for lam in lam_values] for t in t_values]
 
 
 def integral_of_G(t: float) -> float:

@@ -200,16 +200,6 @@ class CurvePointSet:
     def count(self) -> int:
         return len(self.x)
 
-    @property
-    def diagonal(self) -> bool:
-        """True when h = 0 mod q, i.e. the curve lies on the line y = x."""
-        return self.h % self.q == 0
-
-    def xs(self) -> list[int]:
-        return self.x.tolist()
-
-    def ys(self) -> list[int]:
-        return self.y.tolist()
 
 
 def _curve_points(q: int, h: int, centered: bool) -> CurvePointSet:

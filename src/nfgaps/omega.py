@@ -16,9 +16,10 @@ already empty the region, so the extra rows stop at
 j < min(lambda, 1 + 2/t) + 2/t.
 
 Twice the Lebesgue measure of the region equals the limiting gap
-distribution value G(t, lambda).  The windows are written once, in
-_windows, in the division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t,
-which is exact for x > 0 and extends continuously to the slice x = 0.
+distribution value G(t, lambda).  OmegaSpec(t, lam) is a region's one
+constructor.  Its windows are written once, in _windows, in the
+division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t, which is
+exact for x > 0 and extends continuously to the slice x = 0.
 
 Monte Carlo sampling draws each sample's coordinates from a counter-based
 stream keyed by (seed, sample index, slot), so the accept count is an
@@ -59,7 +60,6 @@ __all__ = [
     "OmegaSpec",
     "VolumeEstimate",
     "interference_order",
-    "coordinate_offsets",
     "omega_volume",
     "omega_volume_quadrature",
 ]
@@ -95,38 +95,10 @@ def interference_order(t) -> int:
     return D - 1 if D > 1 and t > 2.0 / (D - 1) else D
 
 
-def coordinate_offsets(D: int, t: float = math.inf, lam: float = 0.0) -> list[int]:
-    """Row offsets carried by the y coordinates, ascending.
-
-    Rows j = -D+1 .. D, then for t <= 2 every further j whose window can
-    still cut the region (see the module docstring).  The defaults give
-    the rows -D+1 .. D alone.  Over _MAX_ROWS rows are refused up front.
-    """
-    return list(range(-D + 1, _last_row(D, t, lam) + 1))
-
-
-def _last_row(D: int, t: float, lam: float) -> int:
-    """The last row of coordinate_offsets(D, t, lam), checked without listing the rows."""
-    if D < 1:
-        raise PreconditionError(f"D must be a positive integer; got {D}")
-    if not t > 0.0:
-        raise PreconditionError(f"t must be positive; got {t}")
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative (--lambda); got {lam}")
-    last = D
-    if t <= 2.0:
-        last = max(D, math.ceil(min(lam, 1.0 + 2.0 / t) + 2.0 / t) - 1)
-    if D + last > _MAX_ROWS:
-        raise PreconditionError(f"t={t} needs {D + last} rows, over {_MAX_ROWS}; "
-                                "raise --t (the floor is near 4e-6)")
-    return last
-
-
-def _windows(D: int, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row j != 0 of coordinate_offsets(D, t, lam), as arrays: its slot
-    j + D (slot 0 carries x) and its window ends (j - lam) t and j t.  A point
-    leaves the region iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row."""
-    slot = np.arange(1, D + _last_row(D, t, lam) + 1)
+def _windows(D: int, last: int, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row j != 0 of -D+1 .. last, as arrays: its slot j + D (slot 0
+    carries x) and its window ends (j - lam) t and j t."""
+    slot = np.arange(1, D + last + 1)
     slot = slot[slot != D]
     j = np.subtract(slot, D, dtype=np.float64)     # exact: |j| <= _MAX_ROWS
     lo = j - lam
@@ -137,28 +109,39 @@ def _windows(D: int, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """One region: t, lambda and the interference order D of t.  Its window
-    arrays are one _windows result, checked and built on first use, then kept."""
+    """One region: float t and lambda and the interference order D of t.  Its
+    last row and window arrays are checked and built on first use, then kept."""
 
     t: float
     lam: float
     D: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "D", interference_order(self.t))
 
-    @classmethod
-    def for_t(cls, t, lam: float) -> "OmegaSpec":
-        return cls(t=float(t), lam=float(lam))
+    @cached_property
+    def last(self) -> int:
+        """D, or for t <= 2 the last j that can cut the region; capped at _MAX_ROWS."""
+        if not self.lam >= 0.0:
+            raise PreconditionError(f"lambda must be nonnegative (--lambda); got {self.lam}")
+        last = self.D
+        if self.t <= 2.0:
+            last = max(last, math.ceil(min(self.lam, 1.0 + 2.0 / self.t) + 2.0 / self.t) - 1)
+        if self.D + last > _MAX_ROWS:
+            raise PreconditionError(f"t={self.t} needs {self.D + last} rows, over {_MAX_ROWS}; "
+                                    "raise --t (the floor is near 4e-6)")
+        return last
 
     @cached_property
     def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's slot and window ends, one _windows result."""
-        return _windows(self.D, self.t, self.lam)
+        return _windows(self.D, self.last, self.t, self.lam)
 
     @property
-    def rows(self) -> list[int]:
-        return coordinate_offsets(self.D, self.t, self.lam)
+    def rows(self) -> range:
+        return range(-self.D + 1, self.last + 1)
 
     @property
     def dims(self) -> int:
@@ -285,7 +268,7 @@ def omega_volume(t, lam: float, samples: int, seed: int,
     """
     if samples < _MIN_SAMPLES:
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
-    spec = OmegaSpec.for_t(t, lam)
+    spec = OmegaSpec(t, lam)
     seed = int(seed)
     if threads is None:
         threads = min(8, os.cpu_count() or 1)
@@ -320,7 +303,7 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     t, lam = float(t), float(lam)
     if not _QUAD_MIN_T <= t < math.inf:
         raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
-    _, lo_ends, hi_ends = OmegaSpec.for_t(t, lam).windows
+    _, lo_ends, hi_ends = OmegaSpec(t, lam).windows
     k_all = np.concatenate([lo_ends, hi_ends, [0.0]])
     cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
     edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))

@@ -114,20 +114,27 @@ def region_volume_G(t: float, lam: float) -> float:
     return 2.0 * _piecewise_quad(over_y0, 0.0, 0.5, x_cuts)
 
 
+def omega_rows(t: float, lam: float, D: int) -> list[int]:
+    """The rows of the limit region, from the `omega` module docstring:
+    j = -D+1 .. D, then for t <= 2 every j > D with
+    j < min(lam, 1 + 2/t) + 2/t."""
+    rows = list(range(-D + 1, D + 1))
+    while t <= 2.0 and rows[-1] + 1 < min(lam, 1.0 + 2.0 / t) + 2.0 / t:
+        rows.append(rows[-1] + 1)
+    return rows
+
+
 def omega_contains(x: float, ys, t: float, lam: float, D: int) -> bool:
     """Membership of one point (x, y_{-D+1}, ..) in the limit region, from the
     window definition in the `omega` module docstring.
 
-    ys lists y_j for j = -D+1 .. D, then for t <= 2 every j > D with
-    j < min(lam, 1 + 2/t) + 2/t, so y_0 sits at index D-1.  The point is out
-    iff (j - lam) t <= 4x (y_j - y_0) <= j t for some row j != 0.  D is taken
-    as given, not tied to the interference order of t.
+    ys lists y_j for the rows omega_rows(t, lam, D), so y_0 sits at index
+    D-1.  The point is out iff (j - lam) t <= 4x (y_j - y_0) <= j t for some
+    row j != 0.  D is taken as given, not tied to the interference order of t.
     """
     if not (t > 0.0 and lam >= 0.0):
         raise PreconditionError(f"need t > 0 and lambda >= 0 (--lambda); got {t}, {lam}")
-    rows = list(range(-D + 1, D + 1))
-    while t <= 2.0 and rows[-1] + 1 < min(lam, 1.0 + 2.0 / t) + 2.0 / t:
-        rows.append(rows[-1] + 1)
+    rows = omega_rows(t, lam, D)
     if len(ys) != len(rows):
         raise PreconditionError(f"expected {len(rows)} y-coordinates; got {len(ys)}")
     if not (0.0 <= x <= 0.5 and all(-0.5 <= y <= 0.5 for y in ys)):

@@ -137,10 +137,6 @@ class TestFloatFilteredOrder:
 
 
 class TestObserverFrame:
-    def test_position(self):
-        fr = ObserverFrame(t=Fraction(3), J=10)
-        assert fr.position == (-300.0, 0.0)
-
     def test_observer_inside_rejected(self):
         with pytest.raises(PreconditionError):
             ObserverFrame(t=Fraction(1, 10), J=10)  # t = 1/J exactly

@@ -86,6 +86,12 @@ class TestLimitCommand:
         assert run(["limit", "--t", "2.76", "--tile-t", "1:3:0.5",
                     "--out", str(tmp_path)]) == 2
 
+    def test_huge_t(self, tmp_path):
+        # 1 +- 2/t rounds to 1: G steps from 1 to 0 at lambda = 1
+        assert run(["limit", "--t", "1e100", "--grid", "0:2:0.5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "limit_t1e+100.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "1", "0", "0"]
+
     def test_t_below_one_rejected(self, tmp_path, capsys):
         assert run(["limit", "--t", "0.5", "--out", str(tmp_path)]) == 2
         assert "t < 1" in capsys.readouterr().err
@@ -224,6 +230,8 @@ class TestValidationErrors:
         (["scan", "--kind", "equidistribution", "--q", "101", "--t", "2.76", "3"], "--t"),
         (["scan", "--kind", "exponential", "--q", "101", "103", "--t", "3", "1/2"], "--q"),
         (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "2", "--t", "3"], "--h"),
+        (["scan", "--kind", "exponential", "--q", "101", "--h", "1", "--t", "1/3", "0.333333",
+          "--curves"], "--t"),
         (["omega", "--t", "2.76", "--lambda", "nan", "--samples", "10000", "--quadrature"],
          "--lambda"),
         (["omega", "--t", "1.45", "--lambda", "nan", "--samples", "10000"], "--lambda"),
@@ -251,6 +259,7 @@ class TestValidationErrors:
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
+            "exponential-curve-names",
             "omega-nan-lambda-d1", "omega-nan-lambda-d2", "omega-quadrature-below-floor",
             "grid-nan", "grid-too-many-points", "tile-t-inf", "tile-lambda-nan",
             "limit-t-overflow", "omega-t-overflow", "gaps-t-overflow", "scan-t-overflow",

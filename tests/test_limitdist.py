@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nfgaps import (PreconditionError, Region, branch_derivative,
                     branch_value, classify_region, integral_of_G, limit_G,
-                    limit_density, thresholds, tile_map)
+                    limit_density, omega_volume_quadrature, thresholds)
 from nfgaps.cli import run
 
 from conftest import quad_integral_of_G, region_volume_G
@@ -176,6 +176,35 @@ class TestExactMass:
         # G(inf, .) is 1 up to lambda = 1; the C2 and C3 tiles are empty
         assert integral_of_G(math.inf) == 1.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(2.0, 1e12))
+    @example(t=1e8)          # the tables read at t gave 0.9375 here
+    @example(t=1e12)
+    def test_unit_mass_large_t(self, t):
+        assert abs(integral_of_G(t) - 1.0) <= 1e-14
+
+
+class TestLargeT:
+    """For t >= 2, G(t, lam) is a function of u = t (lam - 1) alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(2.0, 1e12), u=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True))
+    @example(t=1e8, u=-1.0)
+    @example(t=2.76, u=1e-9)
+    def test_scaling_identity(self, t, u):
+        lam = 1.0 + u / t
+        u = t * (lam - 1.0)            # the u that the float lam carries
+        assume(-2.0 < u < 2.0)
+        assert abs(limit_G(t, lam) - limit_G(2.0, 1.0 + u / 2.0)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(2.0, 1e6), u=st.floats(-2.5, 2.5))
+    @example(t=1e5, u=-0.5)          # 1.6e-7 off when the tables were read at t
+    @example(t=1e6, u=0.3)
+    def test_matches_quadrature(self, t, u):
+        lam = max(1.0 + u / t, 0.0)
+        assert abs(limit_G(t, lam) - omega_volume_quadrature(t, lam)) <= 1e-13
+
 
 def _classify_oracle(t: float, lam: float) -> Region:
     """The tessellation as explicit threshold comparisons, row by row."""
@@ -244,7 +273,7 @@ class TestRegionOracle:
 class TestTiles:
     def test_row_partition_matches_thresholds(self):
         lams = np.round(np.arange(0.0, 2.0001, 0.0001), 10)
-        row = tile_map([2.76], lams)[0]
+        row = [classify_region(2.76, lam) for lam in lams]
         changes = [float(lams[i]) for i in range(1, len(row)) if row[i] is not row[i - 1]]
         assert changes == pytest.approx([1 - 2 / 2.76, 1.0, 1 + 2 / 2.76], abs=2e-4)
 

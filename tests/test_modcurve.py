@@ -58,7 +58,7 @@ class TestBuildCurve:
 
     def test_sorted_by_second_coordinate(self):
         ps = build_curve(101, 7)
-        ys = ps.ys()
+        ys = ps.y.tolist()
         assert ys == sorted(ys)
 
     def test_diagonal_shift(self):
@@ -66,7 +66,7 @@ class TestBuildCurve:
         ps = build_curve(11, 11)
         assert ps.count == 10 == 11 - 1
         assert all(x == y for x, y in ps.points)
-        assert ps.diagonal
+        assert ps.h == 0
 
     def test_composite_nine(self):
         # consecutive-unit pairs mod 9 are n in {1, 4, 7}
@@ -88,7 +88,7 @@ class TestBuildCurve:
 
     def test_x_coordinates_distinct(self):
         ps = build_curve(301, 5)
-        xs = ps.xs()
+        xs = ps.x.tolist()
         assert len(set(xs)) == len(xs)
 
     def test_coordinate_ranges(self):

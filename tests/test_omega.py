@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from nfgaps import (OmegaSpec, PreconditionError, interference_order, limit_G, omega,
                     omega_volume, omega_volume_quadrature)
 from nfgaps.cli import run
-from nfgaps.omega import _BLOCK, _count_chunk, coordinate_offsets
+from nfgaps.omega import _BLOCK, _count_chunk
 
-from conftest import counter_uniforms, omega_contains, region_volume_G
+from conftest import counter_uniforms, omega_contains, omega_rows, region_volume_G
 
 
 class TestInterferenceOrder:
@@ -47,46 +47,55 @@ class TestInterferenceOrder:
     def test_float_rounding_onto_boundary(self, t, D):
         # fl(2/t) lands just below the integer 2/t, yet fl(2/D) equals t:
         # the float order is the larger D, like the decimal's exact order.
-        assert OmegaSpec.for_t(t, 1.0).D == D
+        assert OmegaSpec(t, 1.0).D == D
 
     def test_exact_path_unchanged(self):
         # a Fraction takes the float order of float(t), like any other t
         assert interference_order(Fraction(1, 10)) == 21
         assert interference_order(Fraction(1, 20)) == 41
-        assert OmegaSpec.for_t(Fraction(1, 20), 0.5).D == 41
+        assert OmegaSpec(Fraction(1, 20), 0.5).D == 41
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.floats(1e-6, 3.2))
     @example(t=1e-5)
     @example(t=float(Fraction(2, 93)))
     def test_for_t_accepts_every_float(self, t):
-        spec = OmegaSpec.for_t(t, 0.5)
+        spec = OmegaSpec(t, 0.5)
         assert 2.0 / spec.D < t and (spec.D == 1 or t <= 2.0 / (spec.D - 1))
 
 
 class TestOmegaSpec:
     def test_validates_range(self):
         # D is derived from t, never given
-        assert OmegaSpec.for_t(2.76, 0.5).D == 1
-        assert OmegaSpec.for_t(2.0, 0.5).D == 2
+        assert OmegaSpec(2.76, 0.5).D == 1
+        assert OmegaSpec(2.0, 0.5).D == 2
         with pytest.raises(TypeError):
             OmegaSpec(t=2.76, lam=0.5, D=2)
 
     def test_dims(self):
-        assert OmegaSpec.for_t(1.45, 0.5).dims == 5
-        assert coordinate_offsets(2) == [-1, 0, 1, 2]
+        assert OmegaSpec(1.45, 0.5).dims == 5
+        assert list(OmegaSpec(1.45, 0.5).rows) == [-1, 0, 1, 2]
 
     def test_rows_past_d(self):
         # for t <= 2 row j > D stays while j < lam + 2/t: row 3 enters at
         # t = 1.45 once lam > 3 - 2/t ~ 1.62
-        assert OmegaSpec.for_t(1.45, 1.5).rows == [-1, 0, 1, 2]
-        assert OmegaSpec.for_t(1.45, 2.0).rows == [-1, 0, 1, 2, 3]
-        assert OmegaSpec.for_t(1.45, 2.0).dims == 6
-        assert OmegaSpec.for_t(0.5, 3.5).rows == list(range(-4, 8))
+        assert list(OmegaSpec(1.45, 1.5).rows) == [-1, 0, 1, 2]
+        assert list(OmegaSpec(1.45, 2.0).rows) == [-1, 0, 1, 2, 3]
+        assert OmegaSpec(1.45, 2.0).dims == 6
+        assert list(OmegaSpec(0.5, 3.5).rows) == list(range(-4, 8))
         # t > 2: rows past j = 1 are redundant and never added
-        assert OmegaSpec.for_t(2.76, 1.5).rows == [0, 1]
+        assert list(OmegaSpec(2.76, 1.5).rows) == [0, 1]
         # past lam = 1 + 2/t the region is already empty; rows stop there
-        assert coordinate_offsets(2, 1.45, 1e9) == coordinate_offsets(2, 1.45, 2.38)
+        assert OmegaSpec(1.45, 1e9).rows == OmegaSpec(1.45, 2.38).rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(1e-3, 3.2), lam=st.floats(0.0, 6.0))
+    @example(t=2.0, lam=6.0)
+    @example(t=1.45, lam=3.0 - 2.0 / 1.45)
+    def test_rows_match_oracle(self, t, lam):
+        # the rows omega_contains reads, written from the module docstring
+        spec = OmegaSpec(t, lam)
+        assert list(spec.rows) == omega_rows(t, lam, interference_order(t))
 
     def test_row_cap(self, tmp_path):
         # t = 1e-8 asks for 4e8 rows; the cap refuses it before building any,
@@ -188,7 +197,7 @@ class TestStreamedCount:
         # the streamed count equals the count of counter_uniforms points that
         # omega_contains accepts, across block edges and rows past D; below
         # t = 1/2 the blocks are sorted and rows skip unreachable samples
-        spec = OmegaSpec.for_t(t, lam)
+        spec = OmegaSpec(t, lam)
         start = max(0, block * _BLOCK + offset)
         u = counter_uniforms(seed, start, count, spec.dims)
         expected = sum(omega_contains(0.5 * (1.0 - u[0, k]), u[1:, k] - 0.5,
@@ -288,7 +297,7 @@ class TestVolume:
 
         monkeypatch.setattr("nfgaps.omega.ThreadPoolExecutor", CountingPool)
         samples = (2 << 20) + 12345          # three chunks, the last one partial
-        whole = _count_chunk(OmegaSpec.for_t(2.76, 0.8), 1, 0, samples)
+        whole = _count_chunk(OmegaSpec(2.76, 0.8), 1, 0, samples)
         for threads in (1, 2, 4):
             submits.clear()
             assert omega_volume(2.76, 0.8, samples, seed=1, threads=threads).accepted == whole
