@@ -2,7 +2,7 @@
 
 The limit is piecewise analytic on the strip [1, oo) x [0, oo): each tile
 of a curved tessellation carries one branch formula.  For t >= 2 there are
-four branches (ONE, C2, C3, ZERO at thresholds 1-2/t, 1, 1+2/t); for
+four tiles (ONE, C2, C3, ZERO at thresholds 1-2/t, 1, 1+2/t); for
 1 <= t < 2 there are seven (H1..H7), with H2 reappearing for
 4/3 <= t < 2 and H7 replacing it for 1 <= t < 4/3.
 
@@ -13,7 +13,12 @@ shapes H5 and H6 (its pole c/(lam - 3) sits in H5); without it those two
 branches integrate to more than 1.  Row 4 and beyond never matter for
 t >= 1, and for t >= 2 every row past j = 1 is redundant.
 
-Every branch is transcribed once into a coefficient table of the shape
+For t >= 2, G = Phi(u) with u = t (lam - 1) on all four tiles, where
+Phi(u) = 1/2 - sign(u) psi(|u|) and psi(v) = [v^2 - 4 v log(v/2)]/8 for
+|u| < 2, Phi = 1 for u <= -2 and Phi = 0 for u >= 2.  Read off u, large t
+neither overflows nor cancels, and the tiles only name the branch.
+
+Each branch for t < 2 is transcribed once into a coefficient table of the shape
 
     G = (1/den) * [ sum_k p_k(t) lam^k
                     + (a + b lam) log(2/t)
@@ -26,11 +31,6 @@ can drift from the distribution.  The products (a_i + b_i lam) log(u_i)
 have removable singularities where the coefficient and the log argument
 vanish together (e.g. at lam = 1); these evaluate to their limit 0, never
 by epsilon-fudging.
-
-For t >= 2, G depends on t (lam - 1) alone, so every t > 2 reads its
-tables at t = 2 and lam' = 1 + t (lam - 1)/2, and large t neither
-overflows nor cancels.  Once 1 +- 2/t rounds to 1, the C2 and C3 tiles
-are empty in float arithmetic.
 
 G is continuously differentiable in lambda except at lam = 1, where the
 density has an integrable logarithmic spike.
@@ -82,24 +82,14 @@ class _Branch:
 
 def _branch_table(region: Region, t: float) -> _Branch:
     t2, t3, t4 = t * t, t ** 3, t ** 4
-    if region is Region.ONE:
-        return _Branch(1.0, (1.0,), (0.0, 0.0), (), ())
     if region is Region.ZERO:
         return _Branch(1.0, (0.0,), (0.0, 0.0), (), ())
-    if region in (Region.C2, Region.H2):
+    if region is Region.H2:
         return _Branch(
             8.0,
             (4 + t2, -2 * t2, t2),
             (4 * t, -4 * t),
             ((-4 * t, 4 * t, 1.0, -1.0),),
-            (),
-        )
-    if region is Region.C3:
-        return _Branch(
-            8.0,
-            (4 - t2, 2 * t2, -t2),
-            (4 * t, -4 * t),
-            ((-4 * t, 4 * t, -1.0, 1.0),),
             (),
         )
     if region is Region.H1:
@@ -168,26 +158,31 @@ def _branch_table(region: Region, t: float) -> _Branch:
     raise ValueError(f"no branch table for {region}")
 
 
-def _reduced(region: Region, t: float, lam: float) -> tuple[float, float, float]:
-    """(t', lam', dlam'/dlam) at which a branch reads its table: t' <= 2 always.
-    ONE and ZERO depend on neither t nor lam and keep lam, finite at t = inf."""
-    if t <= 2.0:
-        return t, lam, 1.0
-    if region in (Region.ONE, Region.ZERO):
-        return 2.0, lam, 1.0
-    s = 0.5 * t
-    return 2.0, 1.0 + s * (lam - 1.0), s
+def _phi(t: float, lam: float) -> tuple[float, float, float]:
+    """(G, dG/dlam, a lam-antiderivative of G) at t >= 2, read off u = t (lam - 1).
+
+    With v = min(|u|, 2), the slope is -t psi'(v) with psi'(v) = [(v - 2) - 2 log(v/2)]/4,
+    exact near v = 2, and the antiderivative min(lam - 1, 0) + [v/2 - Psi(v)]/t, with Psi(v)
+    = [v^3/3 - 2 v^2 log(v/2) + v^2]/8 the integral of psi, stays finite at t = inf.
+    """
+    d = lam - 1.0
+    if d == 0.0:                           # the log spike, also at t = inf
+        return 0.5, -math.inf, 0.0
+    v = min(abs(t * d), 2.0)               # sign(u) = sign(d)
+    lh = math.log(0.5 * v)                 # log(v/2)
+    slope = -t * ((v - 2.0) - 2.0 * lh) / 4.0 if v < 2.0 else 0.0
+    return (0.5 - math.copysign((v * v - 4.0 * v * lh) / 8.0, d), slope,
+            min(d, 0.0) + (0.5 * v - v * v * (v / 3.0 - 2.0 * lh + 1.0) / 8.0) / t)
 
 
 def _check_domain(t: float, lam: float) -> tuple[float, float]:
-    t = float(t)
-    lam = float(lam)
+    t, lam = float(t), float(lam)
     if not t >= 1.0:
         raise PreconditionError(
             f"no closed form for t < 1 (use the omega volume estimators); got t={t}"
         )
-    if not lam >= 0.0:
-        raise PreconditionError(f"lambda must be nonnegative; got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise PreconditionError(f"lambda must be finite and nonnegative; got {lam}")
     return t, lam
 
 
@@ -231,7 +226,9 @@ def branch_value(region: Region, t: float, lam: float) -> float:
     Valid on the branch's closed tile; log terms whose argument vanishes
     there have vanishing coefficients and contribute their limit 0.
     """
-    t, lam, _ = _reduced(region, *_check_domain(t, lam))
+    t, lam = _check_domain(t, lam)
+    if t >= 2.0:
+        return _phi(t, lam)[0]
     br = _branch_table(region, t)
     acc = 0.0
     for k in range(len(br.poly) - 1, -1, -1):
@@ -261,7 +258,9 @@ def branch_derivative(region: Region, t: float, lam: float) -> float:
     signed infinity of the dominant log term is returned (this happens only
     at lambda = 1).
     """
-    t, lam, s = _reduced(region, *_check_domain(t, lam))
+    t, lam = _check_domain(t, lam)
+    if t >= 2.0:
+        return _phi(t, lam)[1]
     br = _branch_table(region, t)
     acc = 0.0
     for k in range(len(br.poly) - 1, 0, -1):
@@ -276,7 +275,7 @@ def branch_derivative(region: Region, t: float, lam: float) -> float:
         acc += bi * math.log(u) + (ai + bi * lam) * u1 / u
     for (c, k) in br.poles:
         acc -= c / (lam - k) ** 2
-    return acc / br.den * s
+    return acc / br.den
 
 
 def _antiderivative(region: Region, t: float, lam: float) -> float:
@@ -286,7 +285,8 @@ def _antiderivative(region: Region, t: float, lam: float) -> float:
     B = b/u1 and A = a - B u0; its antiderivative [A (u log u - u) + B (u^2
     log u / 2 - u^2 / 4)] / u1 tends to 0 as u -> 0 (u < 0 is off the tile).
     """
-    t, lam, s = _reduced(region, t, lam)
+    if t >= 2.0:
+        return _phi(t, lam)[2]
     br = _branch_table(region, t)
     acc = sum(p * lam ** (k + 1) / (k + 1) for k, p in enumerate(br.poly))
     a, b = br.log_2t
@@ -297,7 +297,7 @@ def _antiderivative(region: Region, t: float, lam: float) -> float:
             B, log_u = bi / u1, math.log(u)
             acc += ((ai - B * u0) * u * (log_u - 1.0) + B * u * u * (0.5 * log_u - 0.25)) / u1
     acc += sum(c * math.log(abs(lam - k)) for c, k in br.poles)
-    return acc / br.den / s
+    return acc / br.den
 
 
 def limit_G(t: float, lam: float) -> float:

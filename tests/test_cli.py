@@ -87,10 +87,10 @@ class TestLimitCommand:
                     "--out", str(tmp_path)]) == 2
 
     def test_huge_t(self, tmp_path):
-        # 1 +- 2/t rounds to 1: G steps from 1 to 0 at lambda = 1
+        # 1 +- 2/t rounds to 1: G steps from 1 through Phi(0) = 1/2 to 0 at lambda = 1
         assert run(["limit", "--t", "1e100", "--grid", "0:2:0.5", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "limit_t1e+100.csv").read_text().splitlines()
-        assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "1", "0", "0"]
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "0.5", "0", "0"]
 
     def test_t_below_one_rejected(self, tmp_path, capsys):
         assert run(["limit", "--t", "0.5", "--out", str(tmp_path)]) == 2

@@ -65,6 +65,9 @@ class TestClassify:
             limit_G(2.76, math.nan)
         with pytest.raises(PreconditionError):
             limit_G(math.nan, 0.5)
+        for t in (2.76, 1.45):           # lambda = inf lies past every tile
+            with pytest.raises(PreconditionError, match="finite"):
+                limit_G(t, math.inf)
         for t in (0.9, math.nan):
             with pytest.raises(PreconditionError):
                 thresholds(t)
@@ -131,8 +134,10 @@ class TestDensity:
                 assert limit_density(t, float(lam)) >= -1e-12
 
     def test_spike_is_inf(self):
-        for t in (1.0, 1.12, 4 / 3, 1.45, 2.0, 2.76, 30.0):
+        for t in (1.0, 1.12, 4 / 3, 1.45, 2.0, 2.76, 30.0, 1e16, 1e17, 1e100):
             assert limit_density(t, 1.0) == math.inf, t
+            if t >= 2.0:
+                assert limit_G(t, 1.0) == 0.5, t     # Phi(0), also once 1 + 2/t rounds to 1
 
 
 class TestMass:
@@ -191,6 +196,8 @@ class TestLargeT:
     @given(t=st.floats(2.0, 1e12), u=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True))
     @example(t=1e8, u=-1.0)
     @example(t=2.76, u=1e-9)
+    @example(t=987658571205.0, u=-1.9999999999999998)  # lam in the ONE tile carries u > -2
+    @example(t=693368173261.0, u=1.9999999999999996)   # lam in the ZERO tile carries u < 2
     def test_scaling_identity(self, t, u):
         lam = 1.0 + u / t
         u = t * (lam - 1.0)            # the u that the float lam carries

@@ -9,9 +9,10 @@ the cube, of the length that window leaves of [-1/2, 1/2].  At a sample
 point (t0, lam0) the script orders every kink of that integrand, integrates
 each piece exactly in t and lambda, and prints the branch as the
 coefficient table of nfgaps.limitdist (den, poly, log_2t, logs, poles),
-followed by limit_G at the sample point for comparison.  The table holds on
-the whole tile around the sample point; a sample where two kinks meet is
-rejected.
+followed, for t0 >= 1, by limit_G at the sample point for comparison (for
+t >= 2 limitdist reads the branch as Phi(t (lam - 1)), not as a table).
+The table holds on the whole tile around the sample point; a sample where
+two kinks meet is rejected.
 """
 from __future__ import annotations
 
@@ -157,4 +158,5 @@ if __name__ == "__main__":
         print(f"{key}: {value}")
     value = float(G.subs(L2T, math.log(2 / t0)).subs({t: t0, lam: l0}))
     print(f"G({t0}, {l0}) = {value!r}")
-    print(f"limit_G = {limit_G(t0, l0)!r} ({classify_region(t0, l0).value})")
+    if t0 >= 1.0:                    # limitdist has no closed form below t = 1
+        print(f"limit_G = {limit_G(t0, l0)!r} ({classify_region(t0, l0).value})")
