@@ -17,6 +17,7 @@ the order is fixed.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -260,4 +261,10 @@ def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float
     carried[seq.order[:-1]] = normalized_gaps(seq).gaps
     carried = carried.tolist()
     carried[seq.order[-1]] = None
-    return list(zip(xs.tolist(), ys.tolist(), carried))
+    collecting = gc.isenabled()
+    gc.disable()                       # the row tuples hold no cycles; skip the scans
+    try:
+        return list(zip(xs.tolist(), ys.tolist(), carried))
+    finally:
+        if collecting:
+            gc.enable()

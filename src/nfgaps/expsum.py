@@ -8,6 +8,8 @@ sums exactly (poles omitted) and counts points in boxes, reporting the
 deviation from the product main term normalized by sqrt(p) log^(d+1) p.
 Every sum, box count and magnitude grid reads the tuple's graph, the
 points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple.
+Translates r(x) = r'(x + s), such as the neighbor-flip maps (all translates
+of u/(1 - h u)), share one value table; sums build the phase in place.
 
 Bound-check constants used by callers (4d for complete sums, 8d log p for
 incomplete ones, 5 for normalized box errors) are harness thresholds:
@@ -99,18 +101,22 @@ class FracLinear:
             raise PreconditionError(f"x={x} is the pole of this map")
         return (self.a + self.b * x) * mod_inverse(den, self.p) % self.p
 
+    def _translate_form(self) -> tuple[tuple[int, int], int]:
+        """((B, K), s) with r(x) = B + K (x + s)^-1; translates share (B, K)."""
+        p, e_inv = self.p, mod_inverse(self.e, self.p)
+        return ((self.b * e_inv % p, (self.a * self.e - self.b * self.c) * e_inv ** 2 % p),
+                self.c * e_inv % p)
+
     def value_table(self) -> np.ndarray:
         """Values over x = 0..p-1; the pole slot holds -1.
 
-        With u = c + e x the map is b/e + (a e - b c)/e * u^-1, so the table
-        is one gather from the inverse table, scaled and shifted mod p.
+        The map is B + K (x + s)^-1 (`_translate_form`), so the table is one
+        gather from the inverse table, scaled and shifted mod p.
         """
-        p, e_inv = self.p, mod_inverse(self.e, self.p)
-        den = np.arange(self.c, self.c + self.e * p, self.e, dtype=np.int64)
-        den %= p
-        vals = inverse_table(p)[den]
-        vals *= (self.a * self.e - self.b * self.c) * e_inv % p
-        vals += self.b * e_inv % p
+        p, ((B, K), s) = self.p, self._translate_form()
+        vals = np.roll(inverse_table(p), -s)   # (x + s)^-1
+        vals *= K
+        vals += B
         vals %= p
         vals[self.pole] = -1
         return vals
@@ -141,14 +147,24 @@ class FracLinearTuple:
 
     @cached_property
     def graph(self) -> np.ndarray:
-        """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole,
-        in ascending x; read-only int64, shape (d+1, p-d), built once per tuple."""
-        keep = np.ones(self.p, dtype=bool)
-        keep[list(self.poles)] = False
-        graph = np.empty((self.d + 1, self.p - self.d), dtype=np.int64)
-        graph[0] = np.flatnonzero(keep)
-        for row, f in zip(graph[1:], self.funcs):
-            row[:] = f.value_table()[keep]
+        """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole, in ascending
+        x; read-only int64, shape (d+1, p-d), built once per tuple.  Translates share a value
+        table: the row of r(x) = r'(x + s) is r''s table from x + s, copied slice by slice."""
+        p, poles = self.p, sorted(self.poles)
+        graph = np.empty((self.d + 1, p - self.d), dtype=np.int64)
+
+        def fill(row: np.ndarray, table: np.ndarray, shift: int) -> None:
+            for k, (lo, hi) in enumerate(zip([0] + [q + 1 for q in poles], poles + [p])):
+                start = (lo + shift) % p       # x = lo..hi-1 fill columns lo-k..hi-k-1
+                head = min(hi - lo, p - start)
+                row[lo - k:lo - k + head] = table[start:start + head]
+                row[lo - k + head:hi - k] = table[:hi - lo - head]
+        fill(graph[0], np.arange(p, dtype=np.int64), 0)
+        table_key = None                       # maps sorted by class: one table at a time
+        for key, s, i in sorted((*f._translate_form(), i) for i, f in enumerate(self.funcs)):
+            if key != table_key:
+                table_key, table, s0 = key, self.funcs[i].value_table(), s
+            fill(graph[i + 1], table, s - s0)
         graph.flags.writeable = False
         return graph
 
@@ -184,14 +200,21 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int]) -> complex:
     """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph."""
     if len(b) != len(graph) - 1:
         raise PreconditionError(f"need {len(graph) - 1} coefficients b; got {len(b)}")
-    phase = (a % p) * graph[0] % p
+    phase = graph[0] * (a % p)
+    term = np.empty_like(phase)
     for bj, values in zip(b, graph[1:]):
-        phase = (phase + (bj % p) * values) % p
+        if len(graph) * (p - 1) ** 2 >= 2 ** 63:   # else d+1 terms below p^2 fit int64
+            phase %= p
+        phase += np.multiply(values, bj % p, out=term)
+    phase %= p
     return _unit_sum(phase, p)
 
 
 def _unit_sum(phase: np.ndarray, p: int) -> complex:
-    return complex(np.exp(2j * np.pi * (phase / p)).sum())
+    """Sum of e(phase / p), the bits of np.exp(2j * np.pi * (phase / p)).sum()."""
+    z = np.zeros(len(phase), dtype=np.complex128)
+    np.multiply(np.divide(phase, p, out=z.imag), 2.0 * np.pi, out=z.imag)
+    return complex(np.exp(z, out=z).sum())
 
 
 def complete_sum(tup: FracLinearTuple, a: int, b: Sequence[int]) -> complex:

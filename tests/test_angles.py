@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 from fractions import Fraction
@@ -281,6 +282,18 @@ class TestGapPerPoint:
         rows = gap_per_point(ps, 3)
         assert [(x, y) for x, y, _ in rows] == list(ps.points)
         assert sum(g is None for _, _, g in rows) == 1
+
+    def test_collector_state_restored(self):
+        # the rows are built with the cyclic collector paused, then its state restored
+        ps = build_curve(101, 1)
+        gc.enable()
+        assert isinstance(gap_per_point(ps, 3), list) and gc.isenabled()
+        gc.disable()
+        try:
+            gap_per_point(ps, 3)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.sampled_from(ODD_PRIMES), h=st.integers(1, 2 ** 16),

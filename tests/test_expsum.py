@@ -1,9 +1,10 @@
 import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, PreconditionError,
@@ -11,8 +12,8 @@ from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, Precondition
                     geometric_interval_sum, geometric_sum_bound, incomplete_sum,
                     neighbor_flip_tuple)
 from nfgaps.cli import run
-from nfgaps.expsum import inverse_table
-from nfgaps.modcurve import is_prime
+from nfgaps.expsum import _graph_sum, _unit_sum, inverse_table
+from nfgaps.modcurve import ARRAY_MODULUS_MAX, is_prime
 
 RNG = np.random.default_rng(20240831)
 
@@ -297,7 +298,55 @@ class TestGraph:
         complete_sum(tup, 1, [2, 3, 5, 7])
         box_count(tup, BoxSpec(x_window=Interval(0, 100),
                                value_windows=(Interval(0, 50),) * tup.d))
+        assert len(calls) == 1                 # the 4 maps are translates of one map
+        calls.clear()
+        # k / (x + k) for k = 1, 2, 3: no two are translates
+        tup = FracLinearTuple(p=101, funcs=tuple(FracLinear(p=101, a=k, b=0, c=k, e=1)
+                                                 for k in (1, 2, 3)))
+        complete_sum(tup, 1, [2, 3, 5])
         assert len(calls) == tup.d
+
+    @staticmethod
+    def check_translates(f, shifts, scales, others):
+        """Maps g(x) = f(x + t), each written with its own scaling k, plus other
+        maps (a, b, c, e) whose pole is free: the graph matches them pointwise
+        and builds at most one value table for all the translates."""
+        p = f.p
+        funcs = [FracLinear(p=p, a=k * (f.a + f.b * t), b=k * f.b, c=k * (f.c + f.e * t),
+                            e=k * f.e) for t, k in zip(shifts, scales)]
+        for a, b, c, e in others:
+            if (a * e - b * c) % p and (-c * pow(e, -1, p)) % p not in {g.pole for g in funcs}:
+                funcs.append(FracLinear(p=p, a=a, b=b, c=c, e=e))
+        original, calls = FracLinear.value_table, []
+        with patch.object(FracLinear, "value_table", lambda g: calls.append(g) or original(g)):
+            graph = FracLinearTuple(p=p, funcs=tuple(funcs)).graph
+        assert len(calls) <= 1 + len(funcs) - len(shifts)
+        keep = [x for x in range(p) if x not in {g.pole for g in funcs}]
+        assert graph.tolist() == [keep, *([g(x) for x in keep] for g in funcs)]
+        for g, t in zip(funcs, shifts):
+            assert [g(x) for x in keep] == [f((x + t) % p) for x in keep]
+
+    def test_translates_with_poles_at_both_ends(self):
+        f = FracLinear(p=7, a=1, b=2, c=3, e=1)          # pole 4
+        # shifts 4 and 5 put poles at 0 and p - 1; every nonzero shift wraps
+        self.check_translates(f, [4, 5, 1], [1, 2, 6], [])
+        self.check_translates(f, [5, 0, 4], [3, 1, 5], [(1, 0, 5, 1), (2, 3, 4, 5)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([q for q in range(5, 200) if is_prime(q)]))
+    def test_translates_match_pointwise(self, data, p):
+        residues, units = st.integers(0, p - 1), st.integers(1, p - 1)
+        a, b, c, e = (data.draw(residues), data.draw(residues), data.draw(residues),
+                      data.draw(units))
+        assume((a * e - b * c) % p)
+        f = FracLinear(p=p, a=a, b=b, c=c, e=e)
+        edges = st.sampled_from([f.pole, (f.pole + 1) % p])  # poles of f(x + t) at 0, p - 1
+        shifts = data.draw(st.lists(st.one_of(residues, edges), min_size=1, max_size=5,
+                                    unique=True))
+        scales = [data.draw(units) for _ in shifts]
+        others = data.draw(st.lists(st.tuples(residues, residues, residues, units),
+                                    max_size=3))
+        self.check_translates(f, shifts, scales, others)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), p=st.sampled_from([q for q in range(5, 200) if is_prime(q)]))
@@ -320,6 +369,32 @@ class TestGraph:
         vws = tuple(window() for _ in range(tup.d))
         count = sum(all(w.lo <= v <= w.hi for v, w in zip(vs, vws)) for _, vs in points)
         assert box_count(tup, BoxSpec(x_window=xw, value_windows=vws)).count == count
+
+
+def _largest_prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+class TestPhaseSum:
+    @pytest.mark.parametrize("p", [2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_graph_sum_matches_python_int_phase(self, p, d):
+        # near the array modulus cap (d+1)(p-1)^2 passes 2^63, so each term is reduced
+        rng = np.random.default_rng(p + d)
+        graph = p - 1 - rng.integers(0, 1000, size=(d + 1, 500))
+        graph[:, :3] = p - 1
+        for a, b in ((p - 1, [p - 1] * d), (-1, [-2] * d),
+                     (3 * p + 7, [10 ** 12 + j for j in range(d)])):
+            phase = [(a * x + sum(bj * int(v) for bj, v in zip(b, col[1:]))) % p
+                     for x, col in zip(graph[0].tolist(), graph.T)]
+            assert _graph_sum(graph, p, a, b) == _unit_sum(np.array(phase), p)
+
+    def test_unit_sum_bits(self):
+        for p in (101, 2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)):
+            phase = RNG.integers(0, p, size=200_000)
+            assert _unit_sum(phase, p) == complex(np.exp(2j * np.pi * (phase / p)).sum())
 
 
 class TestInverseTable:

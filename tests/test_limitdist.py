@@ -198,11 +198,13 @@ class TestLargeT:
     @example(t=2.76, u=1e-9)
     @example(t=987658571205.0, u=-1.9999999999999998)  # lam in the ONE tile carries u > -2
     @example(t=693368173261.0, u=1.9999999999999996)   # lam in the ZERO tile carries u < 2
+    @example(t=3.0, u=5.960464477539063e-08)  # 1 + u/2 rounded u again: off by 1.8e-15
     def test_scaling_identity(self, t, u):
-        lam = 1.0 + u / t
-        u = t * (lam - 1.0)            # the u that the float lam carries
-        assume(-2.0 < u < 2.0)
-        assert abs(limit_G(t, lam) - limit_G(2.0, 1.0 + u / 2.0)) <= 1e-15
+        # d = lam - 1 on the grid 2^-50 Z: 1 + d and 1 + d/2 are exact, so
+        # (t, 1 + d) and (2t, 1 + d/2) carry the same u = t d
+        d = math.ldexp(round(math.ldexp(u / t, 50)), -50)
+        assume(-2.0 < t * d < 2.0)
+        assert abs(limit_G(t, 1.0 + d) - limit_G(2.0 * t, 1.0 + d / 2.0)) <= 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(t=st.floats(2.0, 1e6), u=st.floats(-2.5, 2.5))
