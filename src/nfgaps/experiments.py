@@ -114,7 +114,7 @@ def uniform_ks_statistic(values: Sequence[float]) -> float:
     u = np.sort(np.asarray(values, dtype=np.float64))
     if len(u) == 0:
         raise PreconditionError("empty sample")
-    if u[0] < 0.0 or u[-1] > 1.0:
+    if not (u[0] >= 0.0 and u[-1] <= 1.0):           # NaN sorts last and fails too
         raise PreconditionError("sample values must lie in [0, 1]")
     n = len(u)
     i = np.arange(1, n + 1)
@@ -183,6 +183,9 @@ def equidistribution_check(p: int, h: int, t) -> float:
         raise PreconditionError(f"equidistribution checks need a prime modulus; got {p}")
     seq = angle_sequence(build_curve(p, h), as_fraction(t))
     span = seq.alpha_max - seq.alpha_min
+    if not span > 0.0:
+        raise PreconditionError(f"--q {p} gives a curve with fewer than 2 distinct angles; "
+                                "the check needs a larger prime")
     return uniform_ks_statistic((seq.angles - seq.alpha_min) / span)
 
 

@@ -247,11 +247,16 @@ def _check_windows(p: int, *windows: Interval) -> None:
             raise PreconditionError(f"window [{w.lo}, {w.hi}] exceeds the residue range of p={p}")
 
 
+def _window_columns(graph: np.ndarray, window: Interval) -> np.ndarray:
+    """The graph's columns with x in the window, a view: the x row is ascending."""
+    return graph[:, slice(*np.searchsorted(graph[0], [window.lo, window.hi + 1]))]
+
+
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
                    window: Interval) -> complex:
     """The complete sum restricted to x in the window (poles still omitted)."""
     _check_windows(tup.p, window)
-    return _graph_sum(tup.graph[:, window.contains(tup.graph[0])], tup.p, a, b)
+    return _graph_sum(_window_columns(tup.graph, window), tup.p, a, b)
 
 
 def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
@@ -318,8 +323,8 @@ def box_count(tup: FracLinearTuple, box: BoxSpec) -> BoxCount:
             f"need {tup.d} value windows; got {len(box.value_windows)}"
         )
     _check_windows(p, box.x_window, *box.value_windows)
-    graph = tup.graph
-    mask = box.x_window.contains(graph[0])
+    graph = _window_columns(tup.graph, box.x_window)
+    mask = np.ones(graph.shape[1], dtype=bool)
     for values, w in zip(graph[1:], box.value_windows):
         mask &= w.contains(values)
     count = int(np.count_nonzero(mask))

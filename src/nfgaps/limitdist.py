@@ -25,8 +25,8 @@ Each branch for t < 2 is transcribed once into a coefficient table of the shape
                     + sum_i (a_i + b_i lam) log(u0_i + u1_i lam)
                     + sum_j c_j / (lam - k_j) ]
 
-and the value, the analytic lambda-derivative and the antiderivative are
-all generated from that table, so neither the density nor the exact mass
+and one walk of that table gives the value, the analytic lambda-derivative
+and the antiderivative together, so neither the density nor the exact mass
 can drift from the distribution.  The products (a_i + b_i lam) log(u_i)
 have removable singularities where the coefficient and the log argument
 vanish together (e.g. at lam = 1); these evaluate to their limit 0, never
@@ -220,94 +220,67 @@ def thresholds(t: float) -> tuple[float, ...]:
     return tuple(sorted({end for end, _ in _tiles(t) if 0.0 < end < math.inf}))
 
 
-def branch_value(region: Region, t: float, lam: float) -> float:
-    """Evaluate one branch formula at (t, lambda).
+def _branch(region: Region, t: float, lam: float) -> tuple[float, float, float]:
+    """(G, dG/dlam, a lam-antiderivative of G) on one branch, from one walk of its table.
 
-    Valid on the branch's closed tile; log terms whose argument vanishes
-    there have vanishing coefficients and contribute their limit 0.
+    A log term (a + b lam) log u, u = u0 + u1 lam, is (A + B u) log u with B = b/u1 and
+    A = a - B u0; its antiderivative [A (u log u - u) + B (u^2 log u / 2 - u^2 / 4)] / u1
+    tends to 0 as u -> 0.  Where u <= 0 the coefficient must vanish (else the point is
+    off the tile); a nonzero b then makes the slope the signed infinity of the log spike.
     """
-    t, lam = _check_domain(t, lam)
     if t >= 2.0:
-        return _phi(t, lam)[0]
+        return _phi(t, lam)
     br = _branch_table(region, t)
-    acc = 0.0
+    value = slope = 0.0
     for k in range(len(br.poly) - 1, -1, -1):
-        acc = acc * lam + br.poly[k]
+        value = value * lam + br.poly[k]
+        if k:
+            slope = slope * lam + k * br.poly[k]
+    anti = sum(p * lam ** (k + 1) / (k + 1) for k, p in enumerate(br.poly))
     a, b = br.log_2t
-    acc += (a + b * lam) * math.log(2.0 / t)
+    log_2t = math.log(2.0 / t)
+    value += (a + b * lam) * log_2t
+    slope += b * log_2t
+    anti += (a + 0.5 * b * lam) * lam * log_2t
     for (ai, bi, u0, u1) in br.logs:
-        u = u0 + u1 * lam
-        coef = ai + bi * lam
-        if u <= 0.0:
-            if coef != 0.0:
-                raise PreconditionError(
-                    f"branch {region.value} evaluated outside its tile "
-                    f"(log argument {u} <= 0 at lambda={lam})"
-                )
-            continue  # removable: coef -> 0 exactly where u -> 0
-        acc += coef * math.log(u)
+        u, coef = u0 + u1 * lam, ai + bi * lam
+        if u > 0.0:
+            B, log_u = bi / u1, math.log(u)
+            value += coef * log_u
+            slope += bi * log_u + coef * u1 / u
+            anti += ((ai - B * u0) * u * (log_u - 1.0) + B * u * u * (0.5 * log_u - 0.25)) / u1
+        elif coef != 0.0:
+            raise PreconditionError(
+                f"branch {region.value} evaluated outside its tile "
+                f"(log argument {u} <= 0 at lambda={lam})"
+            )
+        elif bi != 0.0:                     # the log spike, at lam = 1 only
+            slope = math.copysign(math.inf, -bi)
     for (c, k) in br.poles:
-        acc += c / (lam - k)
-    return acc / br.den
+        value += c / (lam - k)
+        slope -= c / (lam - k) ** 2
+    anti += sum(c * math.log(abs(lam - k)) for c, k in br.poles)
+    return value / br.den, slope / br.den, anti / br.den
+
+
+def branch_value(region: Region, t: float, lam: float) -> float:
+    """One branch formula at (t, lambda), valid on the branch's closed tile."""
+    return _branch(region, *_check_domain(t, lam))[0]
 
 
 def branch_derivative(region: Region, t: float, lam: float) -> float:
-    """Analytic d/dlambda of one branch, generated from the same table.
-
-    At a boundary where a log argument hits 0 the derivative diverges; the
-    signed infinity of the dominant log term is returned (this happens only
-    at lambda = 1).
-    """
-    t, lam = _check_domain(t, lam)
-    if t >= 2.0:
-        return _phi(t, lam)[1]
-    br = _branch_table(region, t)
-    acc = 0.0
-    for k in range(len(br.poly) - 1, 0, -1):
-        acc = acc * lam + k * br.poly[k]
-    acc += br.log_2t[1] * math.log(2.0 / t)
-    for (ai, bi, u0, u1) in br.logs:
-        u = u0 + u1 * lam
-        if u <= 0.0:
-            if bi != 0.0:
-                return math.copysign(math.inf, -bi) / br.den
-            continue
-        acc += bi * math.log(u) + (ai + bi * lam) * u1 / u
-    for (c, k) in br.poles:
-        acc -= c / (lam - k) ** 2
-    return acc / br.den
-
-
-def _antiderivative(region: Region, t: float, lam: float) -> float:
-    """A lambda-antiderivative of one branch, generated from the same table.
-
-    A log term (a + b lam) log u, u = u0 + u1 lam, is (A + B u) log u with
-    B = b/u1 and A = a - B u0; its antiderivative [A (u log u - u) + B (u^2
-    log u / 2 - u^2 / 4)] / u1 tends to 0 as u -> 0 (u < 0 is off the tile).
-    """
-    if t >= 2.0:
-        return _phi(t, lam)[2]
-    br = _branch_table(region, t)
-    acc = sum(p * lam ** (k + 1) / (k + 1) for k, p in enumerate(br.poly))
-    a, b = br.log_2t
-    acc += (a + 0.5 * b * lam) * lam * math.log(2.0 / t)
-    for (ai, bi, u0, u1) in br.logs:
-        u = u0 + u1 * lam
-        if u > 0.0:
-            B, log_u = bi / u1, math.log(u)
-            acc += ((ai - B * u0) * u * (log_u - 1.0) + B * u * u * (0.5 * log_u - 0.25)) / u1
-    acc += sum(c * math.log(abs(lam - k)) for c, k in br.poles)
-    return acc / br.den
+    """Analytic d/dlambda of one branch; a signed infinity at the log spike lam = 1."""
+    return _branch(region, *_check_domain(t, lam))[1]
 
 
 def limit_G(t: float, lam: float) -> float:
     """Limiting gap distribution: fraction of normalized gaps >= lambda."""
-    return branch_value(classify_region(t, lam), float(t), float(lam))
+    return _branch(classify_region(t, lam), float(t), float(lam))[0]
 
 
 def limit_density(t: float, lam: float) -> float:
     """Limiting gap density, -dG/dlambda; +inf at the logarithmic spike lam = 1."""
-    deriv = branch_derivative(classify_region(t, lam), float(t), float(lam))
+    deriv = _branch(classify_region(t, lam), float(t), float(lam))[1]
     return 0.0 if deriv == 0.0 else -deriv
 
 
@@ -317,6 +290,6 @@ def integral_of_G(t: float) -> float:
     total = lo = 0.0
     for end, region in _tiles(t)[:-1]:     # the last tile, ZERO, adds nothing
         if end > lo:
-            total += _antiderivative(region, t, end) - _antiderivative(region, t, lo)
+            total += _branch(region, t, end)[2] - _branch(region, t, lo)[2]
             lo = end
     return total

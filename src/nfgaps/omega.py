@@ -124,8 +124,9 @@ class OmegaSpec:
     @cached_property
     def last(self) -> int:
         """D, or for t <= 2 the last j that can cut the region; capped at _MAX_ROWS."""
-        if not self.lam >= 0.0:
-            raise PreconditionError(f"lambda must be nonnegative (--lambda); got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise PreconditionError(f"lambda must be finite and nonnegative (--lambda); "
+                                    f"got {self.lam}")
         last = self.D
         if self.t <= 2.0:
             last = max(last, math.ceil(min(self.lam, 1.0 + 2.0 / self.t) + 2.0 / self.t) - 1)

@@ -256,6 +256,10 @@ class TestValidationErrors:
         (["expsum", "--p", "101", "--box", "0:50", "0:50", "0:50", "--interval", "0:10"],
          "--interval"),
         (["expsum", "--p", "101", "--box", "0:50", "0:50", "0:50", "--sum-a", "3"], "--sum-a"),
+        (["scan", "--kind", "equidistribution", "--q", "3", "--h", "1", "--t", "2.76"], "--q"),
+        (["omega", "--t", "2.76", "--lambda", "inf", "--samples", "10000"], "--lambda"),
+        (["omega", "--t", "1.45", "--lambda", "1", "inf", "--samples", "10000",
+          "--quadrature"], "--lambda"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
@@ -265,7 +269,8 @@ class TestValidationErrors:
             "limit-t-overflow", "omega-t-overflow", "gaps-t-overflow", "scan-t-overflow",
             "omega-t-subnormal", "curve-union-h", "gaps-t-float-overflow",
             "exponential-t-float-overflow", "equidistribution-t-float-overflow",
-            "expsum-interval-without-sum", "expsum-sum-a-without-sum"])
+            "expsum-interval-without-sum", "expsum-sum-a-without-sum",
+            "equidistribution-one-angle", "omega-inf-lambda", "omega-inf-lambda-quadrature"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"

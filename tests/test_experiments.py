@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,8 @@ class TestKS:
             uniform_ks_statistic([])
         with pytest.raises(PreconditionError):
             uniform_ks_statistic([-0.1, 0.5])
+        with pytest.raises(PreconditionError):
+            uniform_ks_statistic([0.5, math.nan])
 
 
 class TestConvergenceScan:
@@ -119,6 +122,11 @@ class TestCompositeContrast:
 class TestEquidistribution:
     def test_small_prime_loose_bound(self):
         assert equidistribution_check(101, 1, "2.76") <= 0.15
+
+    def test_one_angle_curve_rejected(self):
+        # q = 3 leaves one point, so the angle span is 0
+        with pytest.raises(PreconditionError, match="--q"):
+            equidistribution_check(3, 1, "2.76")
 
     def test_large_prime_tight_bound(self):
         assert equidistribution_check(10007, 1, "2.76") <= 0.02

@@ -177,6 +177,27 @@ class TestIncompleteSum:
             hi = int(RNG.integers(lo, p))
             assert abs(incomplete_sum(tup, a, b, Interval(lo, hi))) <= cap
 
+    @pytest.mark.parametrize("lo, hi", [
+        (32, 35), (33, 33), (34, 60), (10, 32), (0, 100), (36, 100), (90, 100), (0, 31),
+        (0, 0), (100, 100),
+    ], ids=["only-poles", "one-pole", "starts-on-pole", "ends-on-pole", "full",
+            "past-last-pole", "tail", "before-first-pole", "first-residue", "last-residue"])
+    def test_window_columns_match_pointwise(self, lo, hi):
+        tup = neighbor_flip_tuple(101, 3, 2)          # poles 32..35
+        p, window = tup.p, Interval(lo, hi)
+        a, b = 7, [3, 1, 4, 1]
+        points = [(x, [f(x) for f in tup.funcs]) for x in range(lo, hi + 1)
+                  if x not in tup.poles]
+        want = sum(cmath.exp(2j * cmath.pi * ((a * x + sum(bj * v for bj, v in zip(b, vs)))
+                                               % p) / p) for x, vs in points)
+        got = incomplete_sum(tup, a, b, window)
+        assert got == pytest.approx(want, abs=1e-9)
+        masked = tup.graph[:, window.contains(tup.graph[0])]
+        assert got == _graph_sum(masked, p, a, b)     # the same columns, the same bits
+        vws = (Interval(0, 50), Interval(20, 100), Interval(0, 100), Interval(10, 90))
+        count = sum(all(w.lo <= v <= w.hi for v, w in zip(vs, vws)) for _, vs in points)
+        assert box_count(tup, BoxSpec(x_window=window, value_windows=vws)).count == count
+
     def test_window_validation(self):
         tup = neighbor_flip_tuple(101, 1, 1)
         with pytest.raises(PreconditionError):

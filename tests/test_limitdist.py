@@ -133,6 +133,14 @@ class TestDensity:
                     continue
                 assert limit_density(t, float(lam)) >= -1e-12
 
+    @pytest.mark.parametrize("region, t", [(Region.H1, 1.45), (Region.H2, 1.45),
+                                           (Region.H7, 1.2)], ids=["H1", "H2", "H7"])
+    def test_off_tile_raises(self, region, t):
+        # at lam = 1.5 the log argument 1 - lam is negative and its coefficient is not 0
+        for evaluate in (branch_value, branch_derivative):
+            with pytest.raises(PreconditionError, match="outside its tile"):
+                evaluate(region, t, 1.5)
+
     def test_spike_is_inf(self):
         for t in (1.0, 1.12, 4 / 3, 1.45, 2.0, 2.76, 30.0, 1e16, 1e17, 1e100):
             assert limit_density(t, 1.0) == math.inf, t

@@ -339,6 +339,13 @@ class TestVolume:
             omega_contains(0.25, [0.0, 0.4], t=3.0, lam=math.nan, D=1)
         with pytest.raises(PreconditionError, match="--lambda"):
             omega_volume_quadrature(2.76, math.nan)
+        for t in (2.76, 1.45):           # lambda = inf would reach the manifest as Infinity
+            with pytest.raises(PreconditionError, match="--lambda"):
+                OmegaSpec(t, math.inf).last
+            with pytest.raises(PreconditionError, match="--lambda"):
+                omega_volume(t, math.inf, 10 ** 5, seed=1)
+        with pytest.raises(PreconditionError, match="--lambda"):
+            omega_volume_quadrature(2.76, math.inf)
         with pytest.raises(PreconditionError):
             interference_order(math.nan)
         with pytest.raises(PreconditionError):
