@@ -17,14 +17,15 @@ the order is fixed.
 """
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .errors import PreconditionError
 from .modcurve import CurvePointSet
+from .output import column_rows
 
 __all__ = [
     "ObserverFrame",
@@ -152,8 +153,9 @@ def _separable(key: np.ndarray, err: np.ndarray) -> np.ndarray:
     running maximum of the upper ends with the running minimum of the lower
     ends from the right, so it holds for bounds of any size.
     """
-    upper = np.maximum.accumulate(key + err)
-    lower = np.minimum.accumulate((key - err)[::-1])[::-1]
+    upper, lower = key + err, key - err
+    np.maximum.accumulate(upper, out=upper)
+    np.minimum.accumulate(lower[::-1], out=lower[::-1])
     return upper[:-1] < lower[1:]
 
 
@@ -204,13 +206,15 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
         d = xs + T
         key = ys / d
         err = 8 * _U * (np.abs(key) + np.abs(ys) / d * (T / d + 1)) + _TINY
-    trusted = (4 * _U * T <= (1 - 4 * _U) * d) & np.isfinite(key) & np.isfinite(err)
-    key = np.where(trusted, key, 0.0)
-    err = np.where(trusted, err, np.inf)
+    untrusted = ~((4 * _U * T <= (1 - 4 * _U) * d) & np.isfinite(key) & np.isfinite(err))
+    np.copyto(key, 0.0, where=untrusted)
+    np.copyto(err, np.inf, where=untrusted)
 
     order = np.argsort(key, kind="stable")
+    key, err = key[order], err[order]
     # joined[k] = i: sorted positions i and i + 1 belong to one stretch.
-    joined = np.flatnonzero(~_separable(key[order], err[order]))
+    joined = np.flatnonzero(~_separable(key, err))
+    del key, err
     if len(joined):
         starts = joined[np.r_[True, np.diff(joined) > 1]]
         ends = joined[np.r_[np.diff(joined) > 1, True]] + 2
@@ -247,11 +251,12 @@ def empirical_G(gaps: GapSample, lam):
     return float(frac) if np.isscalar(lam) or lam_arr.ndim == 0 else frac
 
 
-def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float | None]]:
+def gap_per_point(points, t, J: int | None = None) -> Iterator[tuple[int, int, float | None]]:
     """Attach to each point its normalized gap to the next point in angular order.
 
-    Output rows follow the *input* point order; the angularly last point
-    carries None.
+    The points are ordered at call time, so a bad input raises here; the
+    result is a one-shot iterator of (x, y, gap) rows in the *input* point
+    order, built a batch at a time.  The angularly last point carries None.
     """
     if not isinstance(points, CurvePointSet):
         points = list(points)
@@ -259,12 +264,5 @@ def gap_per_point(points, t, J: int | None = None) -> list[tuple[int, int, float
     seq = angle_sequence(points, t, J)
     carried = np.empty(seq.n)
     carried[seq.order[:-1]] = normalized_gaps(seq).gaps
-    carried = carried.tolist()
-    carried[seq.order[-1]] = None
-    collecting = gc.isenabled()
-    gc.disable()                       # the row tuples hold no cycles; skip the scans
-    try:
-        return list(zip(xs.tolist(), ys.tolist(), carried))
-    finally:
-        if collecting:
-            gc.enable()
+    carried[seq.order[-1]] = np.nan
+    return column_rows(xs, ys, carried)

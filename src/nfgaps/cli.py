@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +24,7 @@ from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
 from .limitdist import classify_region, limit_density, limit_G
 from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
 from .omega import omega_volume, omega_volume_quadrature
-from .output import manifest, write_csv, write_json
+from .output import column_rows, manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
 
@@ -156,8 +157,8 @@ def _flags_dict(args: argparse.Namespace) -> dict:
 def _write_points(path: Path, ps: CurvePointSet) -> None:
     """Metadata block (q,h,centered) followed by one x,y row per point."""
     write_csv(path, ["q", "h", "centered"],
-              [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y"),
-               *zip(ps.x.tolist(), ps.y.tolist())])
+              chain([(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y")],
+                    column_rows(ps.x, ps.y)))
 
 
 def _write_csvs(out: Path, files: dict) -> list[str]:
@@ -206,6 +207,7 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     })
     artifacts = [f"{base}.csv", f"{base}.json"]
     if args.per_point:
+        del seq, gaps                  # the per-point stage orders the curve again
         write_csv(out / f"{base}_points.csv", ["x", "y", "gap"], gap_per_point(ps, args.t))
         artifacts.append(f"{base}_points.csv")
     return artifacts

@@ -102,7 +102,8 @@ def _windows(D: int, last: int, t: float, lam: float) -> tuple[np.ndarray, np.nd
     slot = slot[slot != D]
     j = np.subtract(slot, D, dtype=np.float64)     # exact: |j| <= _MAX_ROWS
     lo = j - lam
-    lo *= t
+    with np.errstate(over="ignore"):        # past the float range the end is -inf
+        lo *= t
     j *= t
     return slot, lo, j
 
@@ -306,7 +307,8 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
         raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
     _, lo_ends, hi_ends = OmegaSpec(t, lam).windows
     k_all = np.concatenate([lo_ends, hi_ends, [0.0]])
-    cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
+    with np.errstate(invalid="ignore"):     # inf - inf: a NaN cut, dropped below
+        cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
     edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))
     xs, xw = 0.5 + 0.5 * _X_NODES[0], 0.5 * _X_NODES[1]      # on (0, 1)
     total = 0.0

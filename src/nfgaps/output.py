@@ -16,7 +16,9 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 _BATCH = 1 << 13     # lines formatted per write: memory stays flat for any file size
 
@@ -26,6 +28,17 @@ def _row_template(signature: tuple[type, ...]) -> str:
     """A line's `%` template for the cell types of a row; None gets no field."""
     return ",".join(["%.17g" if issubclass(c, float) else "" if c is type(None) else "%s"
                      for c in signature]) + "\n"
+
+
+def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """One-shot iterator over the rows of equal-length numpy columns, built
+    _BATCH at a time; a NaN cell comes out as None, the empty cell."""
+    for start in range(0, len(columns[0]), _BATCH):
+        parts = [column[start:start + _BATCH] for column in columns]
+        cells = [part.tolist() for part in parts]
+        for col, row in zip(*np.nonzero(np.isnan(parts))):
+            cells[col][row] = None
+        yield from zip(*cells)
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
                     angle_sequence, build_curve, empirical_G, gap_per_point,
                     normalized_gaps)
+from nfgaps.angles import _separable
+from nfgaps.output import write_csv
 
 from conftest import cached_gap_sample, per_point_rows
 
@@ -135,6 +139,31 @@ class TestFloatFilteredOrder:
     def test_oversized_coordinates_rejected(self):
         with pytest.raises(PreconditionError):
             angle_sequence([(2 ** 53 + 1, 0), (0, 1)], 3, J=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(st.floats(-1e300, 1e300),
+                                    st.one_of(st.floats(0.0, 1e300), st.just(math.inf))),
+                          min_size=1, max_size=40),
+           ascending=st.booleans())
+    def test_separable_matches_out_of_place_reference(self, cells, ascending):
+        # the in-place running bounds against the expression they replaced
+        if ascending:
+            cells = sorted(cells)
+        key = np.array([k for k, _ in cells])
+        err = np.array([e for _, e in cells])
+        key_in, err_in = key.copy(), err.copy()
+        want = (np.maximum.accumulate(key + err)[:-1]
+                < np.minimum.accumulate((key - err)[::-1])[::-1][1:])
+        np.testing.assert_array_equal(_separable(key, err), want)
+        np.testing.assert_array_equal(key, key_in)
+        np.testing.assert_array_equal(err, err_in)
+
+    def test_curve_coordinates_unchanged(self):
+        ps = build_curve(1009, 3)
+        xs, ys = ps.x.copy(), ps.y.copy()
+        angle_sequence(ps, Fraction("2.76"))
+        np.testing.assert_array_equal(ps.x, xs)
+        np.testing.assert_array_equal(ps.y, ys)
 
 
 class TestObserverFrame:
@@ -269,7 +298,7 @@ class TestEmpiricalG:
 
 class TestGapPerPoint:
     def test_two_points(self):
-        rows = gap_per_point([(0, 1), (0, -1)], 3, J=2)
+        rows = list(gap_per_point([(0, 1), (0, -1)], 3, J=2))
         assert rows == [(0, 1, None), (0, -1, 1.0)]
 
     def test_symmetric_fan_unit_gaps(self):
@@ -279,21 +308,44 @@ class TestGapPerPoint:
 
     def test_order_matches_input(self):
         ps = build_curve(101, 1)
-        rows = gap_per_point(ps, 3)
+        rows = list(gap_per_point(ps, 3))
         assert [(x, y) for x, y, _ in rows] == list(ps.points)
         assert sum(g is None for _, _, g in rows) == 1
 
-    def test_collector_state_restored(self):
-        # the rows are built with the cyclic collector paused, then its state restored
+    def test_one_shot_iterator_from_a_plain_function(self):
+        # a generator function's resumptions would show up as traced calls
+        assert not inspect.isgeneratorfunction(gap_per_point)
+        rows = gap_per_point(build_curve(101, 1), 3)
+        assert len(list(rows)) == 99 and list(rows) == []
+
+    def test_observer_in_square_raises_at_call_time(self):
+        # q = 7: J = 3 and t*J = 1, so the observer is not left of the square;
+        # the call orders the points, so it raises before any row is taken
+        with pytest.raises(PreconditionError, match="left of the square"):
+            gap_per_point(build_curve(7, 1), Fraction(1, 3))
+
+    def test_collector_state_untouched(self):
         ps = build_curve(101, 1)
-        gc.enable()
-        assert isinstance(gap_per_point(ps, 3), list) and gc.isenabled()
-        gc.disable()
         try:
-            gap_per_point(ps, 3)
-            assert not gc.isenabled()
+            for collecting in (True, False):
+                (gc.enable if collecting else gc.disable)()
+                rows = gap_per_point(ps, 3)
+                assert gc.isenabled() == collecting
+                list(rows)
+                assert gc.isenabled() == collecting
         finally:
             gc.enable()
+
+    def test_export_memory_holds_one_batch_of_rows(self, tmp_path):
+        # about 6 MiB streamed; a list of the 100,001 row tuples peaks near 20 MiB
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "points.csv", ["x", "y", "gap"],
+                      gap_per_point(build_curve(100003, 1), Fraction("2.76")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.sampled_from(ODD_PRIMES), h=st.integers(1, 2 ** 16),
@@ -301,7 +353,7 @@ class TestGapPerPoint:
     def test_rows_match_per_row_oracle(self, q, h, t):
         assume(t * ((q - 1) // 2) > 1)     # the observer must lie left of the square
         ps = build_curve(q, h % (q - 1) + 1)
-        rows = gap_per_point(ps, t)
+        rows = list(gap_per_point(ps, t))
         assert rows == per_point_rows(ps, t)
         # the angularly last point: largest exact slope key, the later one on a tie
         key = lambda i: Fraction(rows[i][1], t.denominator * rows[i][0] + t.numerator * ps.J ** 2)
@@ -310,8 +362,8 @@ class TestGapPerPoint:
 
     def test_close_observer_shifts_gaps_small(self):
         # near observer: small gaps dominate; median drops versus a far observer
-        far = gap_per_point(build_curve(5003, 1), 5)
-        near = gap_per_point(build_curve(5003, 1), Fraction(1, 3))
+        far = list(gap_per_point(build_curve(5003, 1), 5))
+        near = list(gap_per_point(build_curve(5003, 1), Fraction(1, 3)))
         med_far = np.median([g for *_, g in far if g is not None])
         med_near = np.median([g for *_, g in near if g is not None])
         assert med_near < med_far

@@ -327,6 +327,18 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert proc.returncode == 2
 
+    def test_overflowing_lambda_warns_nothing(self, tmp_path):
+        # lam = 1e308 puts window ends past the float range; with warnings as
+        # errors the run must still succeed and print nothing to stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nfgaps.cli", "omega", "--t", "2.76",
+             "--lambda", "1e308", "--samples", "10000", "--quadrature", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = (tmp_path / "omega.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == ["0", "0"]
+
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test-only dependency: the package must not import it.
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -378,6 +379,16 @@ class TestQuadrature:
             est = omega_volume(t, lam, 10 ** 6, seed=42)
             tol = max(3 * est.std_error, 1e-9)
             assert abs(est.estimate - omega_volume_quadrature(t, lam)) <= tol
+
+    @pytest.mark.parametrize("t", [2.76, 1.45, 0.5])
+    @pytest.mark.parametrize("lam", [1e308, sys.float_info.max])
+    def test_lambda_near_float_max_is_empty_and_quiet(self, t, lam):
+        # (j - lam) t can overflow to a -inf window end; the region is empty
+        # for lam >= 1 + 2/t, and no RuntimeWarning may escape on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert omega_volume(t, lam, 10_000, seed=1).accepted == 0
+            assert omega_volume_quadrature(t, lam) == 0.0
 
     def test_t_outside_domain_rejected(self):
         # the domain is finite t >= 1/10, below which Monte Carlo is cheaper

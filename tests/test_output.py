@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nfgaps.output
-from nfgaps.output import write_csv
+from nfgaps.output import _BATCH, column_rows, write_csv
 
 
 def reference_write_csv(path, header, rows):
@@ -83,3 +83,14 @@ def test_write_csv_across_batches_matches_reference_writer(header, body, batch):
         write_csv(ours, header, iter(body))
         reference_write_csv(ref, header, body)
         assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_column_rows_cross_batches():
+    n = 2 * _BATCH + 3
+    xs = np.arange(n, dtype=np.int64) - 5
+    gaps = np.linspace(0.0, 2.0, n)
+    gaps[[0, _BATCH, n - 1]] = np.nan
+    rows = column_rows(xs, gaps)
+    want = [(x, None if math.isnan(g) else g) for x, g in zip(xs.tolist(), gaps.tolist())]
+    assert list(rows) == want and list(rows) == []
+    assert all(type(x) is int for x, _ in want)
