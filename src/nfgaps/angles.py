@@ -63,7 +63,7 @@ class ObserverFrame:
         if self.t * self.J <= 1:
             raise PreconditionError(
                 f"need t > 1/J so the observer lies strictly left of the square; "
-                f"got t={self.t}, J={self.J}"
+                f"got t={float(self.t):g}, J={self.J}"
             )
 
 

@@ -11,7 +11,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -157,8 +156,8 @@ def _flags_dict(args: argparse.Namespace) -> dict:
 def _write_points(path: Path, ps: CurvePointSet) -> None:
     """Metadata block (q,h,centered) followed by one x,y row per point."""
     write_csv(path, ["q", "h", "centered"],
-              chain([(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y")],
-                    column_rows(ps.x, ps.y)))
+              [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y")],
+              column_rows(ps.x, ps.y))
 
 
 def _write_csvs(out: Path, files: dict) -> list[str]:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from nfgaps.cli import run
+from nfgaps import build_curve
+from nfgaps.cli import _write_points, run
 
 
 def read_artifacts(out_dir):
@@ -47,6 +49,16 @@ class TestCurveCommand:
         assert run(["curve", "--q", "8", "--h", "1", "--out", str(tmp_path)]) == 2
         assert "odd integer" in capsys.readouterr().err
 
+    def test_export_memory_holds_one_batch_of_rows(self, tmp_path):
+        ps = build_curve(100003, 1)
+        tracemalloc.start()
+        try:
+            _write_points(tmp_path / "curve.csv", ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
 
 class TestGapsCommand:
     def test_outputs_and_rerun_identical(self, tmp_path):
@@ -66,6 +78,13 @@ class TestGapsCommand:
         assert run(["gaps", "--q", "101", "--h", "1", "--t", "1/50",
                     "--out", str(tmp_path)]) == 2
         assert "strictly left" in capsys.readouterr().err
+
+    def test_tiny_t_message_is_short(self, tmp_path, capsys):
+        # the exact t = 10**-300 has a 301-digit denominator; the message prints float(t)
+        assert run(["gaps", "--q", "101", "--h", "1", "--t", "1e-300",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "t=1e-300, J=50" in err and len(err) < 120
 
     def test_large_t_in_float_range(self, tmp_path):
         # t*J^2 = 2.5e307 at q = 101 (J = 50) is still a finite float

@@ -94,3 +94,92 @@ def test_column_rows_cross_batches():
     want = [(x, None if math.isnan(g) else g) for x, g in zip(xs.tolist(), gaps.tolist())]
     assert list(rows) == want and list(rows) == []
     assert all(type(x) is int for x, _ in want)
+
+
+def reference_rows(columns):
+    """The rows of numpy columns as Python values, NaN as None, built per cell."""
+    return [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
+            for row in zip(*[column.tolist() for column in columns])]
+
+
+def assert_block_matches_reference(columns, lead=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
+        block = column_rows(*columns)
+        write_csv(ours, ["a"] * len(columns), list(lead), block)
+        reference_write_csv(ref, ["a"] * len(columns), [*lead, *reference_rows(columns)])
+        assert ours.read_bytes() == ref.read_bytes()
+        assert list(block) == []                     # writing spends the block
+
+
+def decades(lo, hi):
+    """Powers of ten from 10**lo to 10**hi with their neighbours: the three
+    doubles each side and the midpoints between them and the power."""
+    out = []
+    for k in range(lo, hi + 1):
+        p = float(10 ** k) if k >= 0 else 1 / 10 ** -k
+        below, above = [p], [p]
+        for _ in range(3):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        out += below + above + [p * 1.5, p * 9.99999999999999, (p + below[1]) / 2]
+    return out
+
+
+# float64 cells: any bit pattern (NaN payloads, ±inf, ±0.0, subnormals), any
+# float, and values spread over every decade from 1e-6 to 1e22 (the exact
+# path covers 1e-4 <= |x| < 1e16; the rest takes `%.17g` per cell)
+float64s = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1, 10), st.integers(-6, 22),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from(decades(-6, 22)).flatmap(lambda v: st.sampled_from([v, -v])))
+int64s = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([0, 1, -1, 2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63,
+                                    10 ** 18, -10 ** 18, 10 ** 18 - 1, 9, 10, -10]))
+
+
+@st.composite
+def column_blocks(draw):
+    n = draw(st.integers(0, 24))
+    # two columns at least: csv.writer quotes a lone empty cell as ""
+    kinds = draw(st.lists(st.sampled_from([np.float64, np.int64]), min_size=2, max_size=3))
+    return [np.array(draw(st.lists(float64s if kind is np.float64 else int64s,
+                                   min_size=n, max_size=n)), dtype=kind) for kind in kinds]
+
+
+@given(columns=column_blocks(), batch=st.sampled_from([2, 3, 5, _BATCH]))
+# the tie 1 + 2**-17 (1.0000076293945312), literals that carry to the next decade
+# (10, 0.0001), the exponent-form edge at 1e-4, 1e16 and 1e17 - 16
+@example(columns=[np.array([1 + 2 ** -17, 9.99999999999999999, 0.000099999999999999999,
+                            1e-4, 9.9999999999999e-05, 1e16, 1e17 - 16, math.nan, -0.0,
+                            0.0, 5e-324, -math.inf, 0.1, 123.0, -2.5]),
+                  np.arange(15, dtype=np.int64) * -(10 ** 17) + 1], batch=4)
+@example(columns=[np.array([2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 0, -7, 10 ** 18]),
+                  np.array([math.nan, 1e-5, 1e22, 2.2250738585072014e-308, -1e-4, 7.0])],
+         batch=4)
+@settings(max_examples=300, deadline=None)
+def test_column_block_matches_reference_writer(columns, batch):
+    with mock.patch.object(nfgaps.output, "_BATCH", batch):
+        assert_block_matches_reference(columns, lead=[("q", 7, "true"), ("x", "y")])
+
+
+def test_every_decade_matches_percent_format():
+    values = np.array(decades(-6, 22))
+    values = np.concatenate([values, -values, values * (1 + 2 ** -52), values / 3])
+    assert_block_matches_reference([values, values[::-1].copy()])
+
+
+def test_started_and_other_blocks_take_the_row_path():
+    xs = np.arange(7, dtype=np.int64) - 3
+    started = column_rows(xs, xs * 0.5)
+    assert next(started) == (-3, -1.5)
+    small = np.array([1, -2, 3], dtype=np.int32)
+    flags = np.array([True, False, True])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(nfgaps.output, "_BATCH", 2):
+        ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
+        write_csv(ours, ["a", "b"], started, column_rows(small, flags))
+        reference_write_csv(ref, ["a", "b"], [*reference_rows([xs[1:], xs[1:] * 0.5]),
+                                              *zip(small.tolist(), flags.tolist())])
+        assert ours.read_bytes() == ref.read_bytes()
