@@ -17,6 +17,7 @@ the order is fixed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -61,9 +62,13 @@ class ObserverFrame:
         if self.J < 1:
             raise PreconditionError(f"J must be a positive integer; got {self.J}")
         if self.t * self.J <= 1:
+            shown = f"{float(self.t):g}"
+            if self.t and not float(self.t):     # below the float range: its decimal exponent
+                exp = math.log10(abs(self.t.numerator)) - math.log10(self.t.denominator)
+                shown = f"{'-' * (self.t < 0)}1e{round(exp)}"
             raise PreconditionError(
                 f"need t > 1/J so the observer lies strictly left of the square; "
-                f"got t={float(self.t):g}, J={self.J}"
+                f"got t={shown}, J={self.J}"
             )
 
 

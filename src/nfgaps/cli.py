@@ -31,7 +31,8 @@ _OUT_ENV = "NFGAPS_OUT"
 def _fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
-        float(value)        # every command also reads --t as a float
+        if value and not float(value):  # every command also reads --t as a float
+            raise OverflowError         # a nonzero value that underflows to 0
     except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number in the float "
                                          "range (use e.g. '2.76' or '69/25')") from None

@@ -29,16 +29,22 @@ each block of samples generates one coordinate row at a time, applies that
 row's window and reuses the buffer, so memory per thread is O(block) for
 any D, however small t is.
 
-A row draws a sample's coordinate only if the sample can reach its window.
-Row j's window holds no v = 4x (y_j - y_0) with |v| < r, its reach
-r = max((j - lambda) t, -j t, 0).  The kernel computes
-v = fl(fl(fl(u - 1/2) - y_0) 4x) and |u - 1/2 - y_0| <= 1/2 + |y_0|;
-rounding is monotone, so |v| is at most the sample's key
-fl(fl(1/2 + |y_0|) 4x), and skipping the rows whose reach exceeds the key
-leaves the accept count unchanged bit for bit.  Once sum_j min(r/2, 1), the
-passes a key of 4x alone would skip (4x is uniform on (0, 2]), exceeds the
-cost of a sort, each block is sorted by the key and each row runs only from
-its first reachable sample on.
+A row draws a sample's coordinate only if the sample can reach its window
+from the window's side of 0.  Slot D's uniform u_0 and a row's uniform u
+are multiples of 2^-53 in [0, 1), so y_0 = u_0 - 1/2, u - 1/2, -u_0 and
+1 - u_0 are exact: v = fl(fl(fl(u - 1/2) - y_0) 4x) = fl(fl(u - u_0) 4x),
+and monotone rounding gives -fl(u_0 4x) <= v <= fl((1 - u_0) 4x).  So a
+window wholly below 0 (j t < 0) can hold v only if fl(u_0 4x) >= -j t,
+and one wholly above 0 ((j - lambda) t > 0) only if fl((1 - u_0) 4x) >=
+(j - lambda) t.  The rows whose window holds 0 run over every sample.
+Then, once sum_j min(r/2, 1) over a side's reaches r (the passes a key of
+4x alone would skip; 4x is uniform on (0, 2]) exceeds the cost of a sort,
+the side sorts the samples not yet rejected by its key and runs each row
+from its first reachable sample on.  The sort key is the key's bits (a
+nonnegative double orders like its bits) with the sample's position in
+the low 16 bits; a row starts at the first value not below its reach's
+bits so truncated, so a boundary sample is drawn, never skipped, and the
+accept count is unchanged bit for bit.
 
 The quadrature reads the same windows for any t >= 1/10; its cost grows
 like rows^4, and MC is cheaper below that floor.  A region has at most
@@ -70,6 +76,8 @@ _BLOCK = 1 << 16     # samples per streamed block inside a chunk
 _QUAD_MIN_T = 0.1    # quadrature floor: up to about 1 s at t = 0.1, 6 s at t = 0.05
 _MAX_ROWS = 10 ** 6  # three numbers per row: about 24 MB of window arrays at the cap
 _SORT_PASSES = 5.0   # sorting a block costs about as much as this many row passes
+_KEY_BITS = np.uint64(2 ** 64 - 2 ** 16)  # a sort key's bits above a sample's position
+assert _BLOCK <= 1 << 16                  # a block's positions fit the low 16 bits
 _X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
@@ -169,8 +177,9 @@ class _SlotStream:
     def fill(self, slot: int, out: np.ndarray, start: int = 0) -> None:
         """Write the uniforms of one slot into out (float64), one per sample
         from position start on."""
-        z, w = self._z[start:], self._w[start:]
-        np.add(self._base[start:], np.uint64((slot + 1) * int(_GAMMA) % 2 ** 64), out=z)
+        stop = start + len(out)
+        z, w = self._z[start:stop], self._w[start:stop]
+        np.add(self._base[start:stop], np.uint64((slot + 1) * int(_GAMMA) % 2 ** 64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             z ^= np.right_shift(z, shift, out=w)
             z *= mult
@@ -178,10 +187,14 @@ class _SlotStream:
         z >>= 11
         np.multiply(z.view(np.int64), 2.0 ** -53, out=out)   # z < 2**53: same double
 
-    def reorder(self, order: np.ndarray) -> None:
-        """Put the samples in the given order; later fills follow it."""
-        np.take(self._base, order, out=self._z, mode="clip")
+    def reorder(self, packed: np.ndarray) -> np.ndarray:
+        """Put the first len(packed) samples in the order of the positions in
+        the low 16 bits of packed; later fills follow it.  Returns that
+        order, which the next fill overwrites."""
+        order = np.bitwise_and(packed, ~_KEY_BITS, out=self._w[:len(packed)]).view(np.int64)
+        np.take(self._base, order, out=self._z[:len(packed)], mode="clip")
         self._base, self._z = self._z, self._base
+        return order
 
 
 @dataclass(frozen=True)
@@ -213,49 +226,60 @@ class VolumeEstimate:
 def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     """Accepted samples among start..start+count-1, streamed block by block.
 
-    Blocks cut the sample indices at multiples of _BLOCK.  Each holds x, y_0
+    Blocks cut the sample indices at multiples of _BLOCK.  Each holds x, u_0
     and one reused row buffer: every other slot is generated into it, cut
     by its row's window and overwritten by the next, so memory is
-    O(_BLOCK) for any D.  Past _SORT_PASSES, blocks are sorted by the reach
-    key and rows skip the samples that cannot reach them (module docstring).
+    O(_BLOCK) for any D.  The rows holding 0 run first, then each side of
+    0, its samples sorted by its key past _SORT_PASSES (module docstring).
     """
     slots, lo_ends, hi_ends = spec.windows
-    reach = np.maximum(np.maximum(lo_ends, -hi_ends), 0.0)
-    presort = np.minimum(reach / 2.0, 1.0).sum() > _SORT_PASSES
-    firsts = np.zeros(len(slots), dtype=np.intp)
+    above, below = lo_ends > 0.0, hi_ends < 0.0
+    phases = []                          # key |u_0 - origin| 4x: 1 - u_0 above 0, u_0 below
+    for rows, reach, origin in ((~(above | below), np.zeros_like(lo_ends), 0.0),
+                                (above, lo_ends, 1.0), (below, -hi_ends, 0.0)):
+        sort = np.minimum(reach[rows] / 2.0, 1.0).sum() > _SORT_PASSES
+        phases.append((slots[rows], lo_ends[rows], hi_ends[rows], origin,
+                       reach[rows].view(np.uint64) & _KEY_BITS if sort else None))
+    position = np.arange(_BLOCK, dtype=np.uint16)
     end = start + count
     cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
     accepted = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        n = hi - lo
+        n = m = hi - lo                  # after a sort the live samples are the first m
         stream = _SlotStream(seed, lo, n, spec.dims)
-        x4, y0, v = np.empty(n), np.empty(n), np.empty(n)
-        hit, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        x4, u0, v = np.empty(n), np.empty(n), np.empty(n)
+        hit, le = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         rejected = np.zeros(n, dtype=bool)
         stream.fill(0, x4)
         np.subtract(1.0, x4, out=x4)
         x4 *= 2.0                        # 4x with x = (1-u)/2 in (0, 1/2]
-        stream.fill(spec.D, y0)          # slot D carries y_0 (offset j=0)
-        y0 -= 0.5
-        if presort:
-            np.abs(y0, out=v)
-            v += 0.5
-            v *= x4                      # the key, >= |v| in every row's test below
-            order = np.argsort(v)
-            firsts = np.searchsorted(v[order], reach)
-            x4 = x4[order]
-            y0 = y0[order]
-            stream.reorder(order)
-        for slot, lo_end, hi_end, k in zip(slots, lo_ends, hi_ends, firsts):
-            vk, hk = v[k:], hit[k:]
-            stream.fill(int(slot), vk, k)
-            vk -= 0.5
-            vk -= y0[k:]
-            vk *= x4[k:]
-            np.greater_equal(vk, lo_end, out=hk)
-            hk &= np.less_equal(vk, hi_end, out=below[k:])
-            rejected[k:] |= hk
-        accepted += n - int(np.count_nonzero(rejected))
+        stream.fill(spec.D, u0)          # slot D carries y_0 = u_0 - 1/2 (offset j=0)
+        for row_slots, row_lo, row_hi, origin, reach in phases:
+            firsts = np.zeros(len(row_slots), dtype=np.intp)
+            if reach is not None:
+                key = np.abs(np.subtract(u0[:m], origin, out=v[:m]), out=v[:m])
+                packed = np.multiply(key, x4[:m], out=key).view(np.uint64)
+                packed &= _KEY_BITS
+                packed |= position[:m]
+                packed[rejected[:m]] = np.iinfo(np.uint64).max   # sorts after every key
+                m -= int(np.count_nonzero(rejected[:m]))
+                packed.sort()
+                firsts = np.searchsorted(packed[:m], reach)
+                order = stream.reorder(packed[:m])
+                np.take(x4, order, out=v[:m], mode="clip")
+                x4, v = v, x4
+                np.take(u0, order, out=v[:m], mode="clip")
+                u0, v = v, u0
+                rejected[:m] = False
+            for slot, lo_end, hi_end, k in zip(row_slots, row_lo, row_hi, firsts):
+                vk, hk = v[k:m], hit[k:m]
+                stream.fill(int(slot), vk, k)
+                vk -= u0[k:m]            # fl(u - u_0) = fl(fl(u - 1/2) - y_0)
+                vk *= x4[k:m]
+                np.greater_equal(vk, lo_end, out=hk)
+                hk &= np.less_equal(vk, hi_end, out=le[k:m])
+                rejected[k:m] |= hk
+        accepted += m - int(np.count_nonzero(rejected[:m]))
     return accepted
 
 

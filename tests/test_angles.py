@@ -173,6 +173,13 @@ class TestObserverFrame:
         with pytest.raises(PreconditionError):
             angle_sequence([(0, 1)], Fraction(1, 20), J=10)
 
+    @pytest.mark.parametrize("t, shown", [(Fraction(1, 10 ** 400), "t=1e-400,"),
+                                          (-Fraction(3, 10 ** 400), "t=-1e-400,")])
+    def test_underflowing_t_shows_its_exponent(self, t, shown):
+        # float(t) is 0 below about 5e-324; the message names the exponent instead
+        with pytest.raises(PreconditionError, match=shown):
+            ObserverFrame(t=t, J=50)
+
 
 class TestAngleSequence:
     def test_symmetric_pair(self):

@@ -297,6 +297,18 @@ class TestValidationErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--q", "101", "--h", "1"],
+        ["limit"],
+        ["omega", "--lambda", "1", "--samples", "10000"],
+    ], ids=["gaps", "limit", "omega"])
+    def test_underflowing_t_named(self, argv, tmp_path, capsys):
+        # a positive --t whose float is 0 stops in argparse, quoting the text given
+        out = tmp_path / "out"
+        assert run([*argv, "--t", "1e-400", "--out", str(out)]) == 2
+        assert "1e-400" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["curve", "--q", "3037000501", "--h", "1"], "--q"),
         (["gaps", "--q", "3037000501", "--h", "1", "--t", "3"], "--q"),

@@ -194,16 +194,38 @@ class TestStreamedCount:
            offset=st.integers(-800, 800), count=st.integers(1, 1600))
     @example(t=1.45, lam=2.0, seed=42, block=1, offset=-700, count=1500)
     @example(t=0.1, lam=1.0, seed=42, block=1, offset=-700, count=1500)
+    @example(t=0.05, lam=0.0, seed=3, block=0, offset=0, count=400)       # no rows hold 0
+    @example(t=0.1, lam=2.0, seed=5, block=0, offset=0, count=600)        # row 2 has lo = 0
+    @example(t=0.7, lam=5.0, seed=1, block=0, offset=0, count=300)        # rows 1..5 empty it
+    @example(t=0.1, lam=25.0, seed=1, block=0, offset=0, count=300)       # a side sorts none
+    @example(t=2 / 3, lam=1.0, seed=9, block=0, offset=0, count=800)
+    @example(t=0.05, lam=0.57, seed=7, block=2, offset=-250, count=500)   # across a block edge
     def test_matches_per_point_reference(self, t, lam, seed, block, offset, count):
         # the streamed count equals the count of counter_uniforms points that
-        # omega_contains accepts, across block edges and rows past D; below
-        # t = 1/2 the blocks are sorted and rows skip unreachable samples
+        # omega_contains accepts, across block edges and rows past D; at small
+        # t each side of 0 sorts its live samples and rows skip unreachable ones
         spec = OmegaSpec(t, lam)
         start = max(0, block * _BLOCK + offset)
         u = counter_uniforms(seed, start, count, spec.dims)
         expected = sum(omega_contains(0.5 * (1.0 - u[0, k]), u[1:, k] - 0.5,
                                       spec.t, spec.lam, spec.D) for k in range(count))
         assert _count_chunk(spec, seed, start, count) == expected
+
+    @pytest.mark.parametrize("t, lam, most", [(0.1, 1.0, 11.0), (2.76, 0.8, 3.0)])
+    def test_uniforms_drawn_per_sample(self, t, lam, most, monkeypatch):
+        # one reach key per side of 0 draws 10.5 uniforms per sample at
+        # (0.1, 1), 17.0 with the single key 1/2 + |y_0|; a shallow region
+        # draws x, y_0 and its one row for every sample and nothing more
+        drawn = []
+        fill = omega._SlotStream.fill
+
+        def counting(stream, slot, out, start=0):
+            drawn.append(len(out))
+            fill(stream, slot, out, start)
+
+        monkeypatch.setattr(omega._SlotStream, "fill", counting)
+        omega_volume(t, lam, 2 ** 20, seed=42, threads=1)
+        assert sum(drawn) <= most * 2 ** 20
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_count_omega_deep(self, threads):
