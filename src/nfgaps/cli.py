@@ -21,7 +21,7 @@ from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, converge
 from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
                      neighbor_flip_tuple)
 from .limitdist import classify_region, limit_density, limit_G
-from .modcurve import CurvePointSet, build_curve, build_nf_curve, nf_union
+from .modcurve import CurvePointSet, build_curve, build_nf_curve
 from .omega import omega_volume, omega_volume_quadrature
 from .output import column_rows, manifest, write_csv, write_json
 
@@ -174,12 +174,12 @@ def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     if args.union:
         if args.h is not None:
             raise PreconditionError("--h takes no value with --union, which exports every shift")
-        curves = nf_union(args.q)      # validates q before any directory is made
+        build_nf_curve(args.q, 0)      # validates q before any directory is made
         union_dir = out / f"union_q{args.q}"
         union_dir.mkdir(exist_ok=True)
-        for h, ps in curves.items():
+        for h in range(args.q):        # one shift in memory at a time
             path = union_dir / f"h{h:04d}.csv"
-            _write_points(path, ps)
+            _write_points(path, build_nf_curve(args.q, h))
             artifacts.append(str(path.relative_to(out)))
         return artifacts
     if args.h is None:
@@ -200,7 +200,7 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     grid_values = args.grid.values()
     base = f"gaps_q{args.q}_h{args.h}"
     write_csv(out / f"{base}.csv", ["lambda", "G_emp"],
-              zip(grid_values, empirical_G(gaps, grid_values)))
+              column_rows(grid_values, empirical_G(gaps, grid_values)))
     write_json(out / f"{base}.json", {
         "q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
         "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max, "delta_av": seq.delta_av,
@@ -310,7 +310,7 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
     else:
         reports, curves = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
     lams = grid.values()
-    files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], zip(lams, curve))
+    files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], column_rows(lams, curve))
              for (q, h, t), curve in (curves.items() if args.curves else ())}
     if args.curves and len(files) < len(curves):
         raise PreconditionError("--t values must differ in their first 6 significant digits "

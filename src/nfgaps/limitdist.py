@@ -263,14 +263,22 @@ def _branch(region: Region, t: float, lam: float) -> tuple[float, float, float]:
     return value / br.den, slope / br.den, anti / br.den
 
 
+def _on_branch(region: Region, t: float, lam: float) -> tuple[float, float, float]:
+    """`_branch` for a region that is one of the branches of G(t, .)."""
+    t, lam = _check_domain(t, lam)
+    if region not in [r for _, r in _tiles(t)]:
+        raise PreconditionError(f"region {region.value} is not a branch of G(t, .) at t={t}")
+    return _branch(region, t, lam)
+
+
 def branch_value(region: Region, t: float, lam: float) -> float:
     """One branch formula at (t, lambda), valid on the branch's closed tile."""
-    return _branch(region, *_check_domain(t, lam))[0]
+    return _on_branch(region, t, lam)[0]
 
 
 def branch_derivative(region: Region, t: float, lam: float) -> float:
     """Analytic d/dlambda of one branch; a signed infinity at the log spike lam = 1."""
-    return _branch(region, *_check_domain(t, lam))[1]
+    return _on_branch(region, t, lam)[1]
 
 
 def limit_G(t: float, lam: float) -> float:

@@ -3,10 +3,10 @@
 CSV: '.' decimal separator, '\n' line endings, UTF-8.  Callers pass raw
 values; `write_csv` writes a float (np.float64 too) with `%.17g`, 17
 significant digits (value-preserving), None as an empty cell and anything
-else through str(); cells fill the `%` fields of a row template, so a '%' in
-a text cell is written verbatim.  `column_rows` blocks of float64 and int64
-columns get the same cells from an exact vectorised formatter (NaN is the
-empty cell; floats outside 1e-4 <= |x| < 1e16 take `%.17g` one by one).  No
+else through str().  Numeric tables (point sets, per-point gaps, gap curves)
+go as `column_rows` blocks of float64 and int64 columns through one exact
+vectorised formatter that gives the same cells (NaN is the empty cell; floats
+outside 1e-4 <= |x| < 1e16 are formatted one distinct value at a time).  No
 cell (a number, region tag, true/false or header name) holds a comma, a quote
 or a newline, so none is quoted.  JSON keys are sorted; the report and the
 manifest are indented by 2, curve and gap sidecars are compact.
@@ -17,7 +17,7 @@ import json
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,25 +26,10 @@ _BATCH = 1 << 13     # lines formatted per write: memory stays flat for any file
 _FLOAT = 41          # bytes of a float cell: b"-0.000", two copies of the 17 digits, the end
 
 
-@lru_cache(maxsize=64)
-def _row_template(signature: tuple[type, ...]) -> str:
-    """A line's `%` template for the cell types of a row; None gets no field."""
-    return ",".join(["%.17g" if issubclass(c, float) else "" if c is type(None) else "%s"
-                     for c in signature]) + "\n"
-
-
 def _format_rows(batch: list[Sequence]) -> bytes:
-    """The lines of a batch of rows, as one `%` format."""
-    cells = list(chain.from_iterable(batch))
-    types = list(map(type, cells))
-    n = len(batch[0])
-    if types[:n] * len(batch) == types and list(map(len, batch)) == [n] * len(batch):
-        template = _row_template(tuple(types[:n])) * len(batch)
-    else:
-        template = "".join([_row_template(tuple(map(type, row))) for row in batch])
-    if type(None) in types:
-        cells = [c for c in cells if c is not None]
-    return (template % tuple(cells)).encode()
+    """The lines of a batch of rows, cell by cell."""
+    return "".join([",".join(["" if c is None else "%.17g" % c if isinstance(c, float)
+                              else str(c) for c in row]) + "\n" for row in batch]).encode()
 
 
 @lru_cache(maxsize=1)
@@ -115,10 +100,12 @@ def _cells(column: np.ndarray, term: int) -> tuple[np.ndarray, np.ndarray]:
     chars[neg & (x >= 0), 5] = ord("-")
     key = 18 * (x + 4) + s
     keep, end = _tables()[1][2 * key + neg], _tables()[2][key]
-    for i in np.flatnonzero(~fast).tolist():
-        text = b"%.17g" % column[i] if column[i] == column[i] else b""    # NaN: empty cell
-        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-        keep[i], end[i] = np.arange(_FLOAT) <= len(text), len(text)
+    slow = np.flatnonzero(~fast)                    # one `%.17g` per distinct bit pattern
+    bits, which = np.unique(column[slow].view(np.uint64), return_inverse=True)
+    texts = [b"%.17g" % v if v == v else b"" for v in bits.view(np.float64).tolist()]
+    size = np.array(list(map(len, texts)), np.int64)[which]     # 0 for NaN, the empty cell
+    chars[slow] = np.array(texts, f"S{_FLOAT}").view(np.uint8).reshape(-1, _FLOAT)[which]
+    keep[slow], end[slow] = np.arange(_FLOAT) <= size[:, None], size
     chars[rows, end] = term
     return chars, keep
 
@@ -154,7 +141,7 @@ def _rows(columns: tuple[np.ndarray, ...]) -> Iterator[tuple]:
 
 def write_csv(path: str | Path, header: Sequence, *blocks: Iterable[Sequence]) -> None:
     """Header line, then each block's rows, _BATCH lines per write: an unstarted
-    `column_rows` block of float64/int64 columns in numpy, other rows by `%`."""
+    `column_rows` block of float64/int64 columns in numpy, other rows cell by cell."""
     with open(path, "wb") as fh:
         fh.write(_format_rows([header]))
         for rows in blocks:

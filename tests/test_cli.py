@@ -41,6 +41,17 @@ class TestCurveCommand:
         files = sorted((tmp_path / "union_q9").glob("h*.csv"))
         assert len(files) == 9
 
+    def test_union_memory_holds_one_shift(self, tmp_path):
+        # all 1009 shifts at once trace about 16 MB
+        tracemalloc.start()
+        try:
+            assert run(["curve", "--q", "1009", "--union", "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "union_q1009").glob("h*.csv"))) == 1009
+        assert peak < 2 << 20
+
     def test_missing_shift_is_validation_error(self, tmp_path, capsys):
         assert run(["curve", "--q", "7", "--out", str(tmp_path)]) == 2
         assert "--h is required" in capsys.readouterr().err

@@ -141,6 +141,14 @@ class TestDensity:
             with pytest.raises(PreconditionError, match="outside its tile"):
                 evaluate(region, t, 1.5)
 
+    @pytest.mark.parametrize("region, t, lam", [(Region.H3, 3.0, 0.5), (Region.ONE, 1.5, 0.2),
+                                                (Region.H7, 1.45, 0.5), (Region.H2, 1.2, 0.5)],
+                             ids=["H3-at-3", "ONE-at-1.5", "H7-at-1.45", "H2-at-1.2"])
+    def test_region_not_a_branch_raises(self, region, t, lam):
+        for evaluate in (branch_value, branch_derivative):
+            with pytest.raises(PreconditionError, match="not a branch"):
+                evaluate(region, t, lam)
+
     def test_spike_is_inf(self):
         for t in (1.0, 1.12, 4 / 3, 1.45, 2.0, 2.76, 30.0, 1e16, 1e17, 1e100):
             assert limit_density(t, 1.0) == math.inf, t

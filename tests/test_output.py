@@ -159,6 +159,12 @@ def column_blocks(draw):
 @example(columns=[np.array([2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 0, -7, 10 ** 18]),
                   np.array([math.nan, 1e-5, 1e22, 2.2250738585072014e-308, -1e-4, 7.0])],
          batch=4)
+# out-of-range floats, each repeated, are formatted once per bit pattern:
+# -0.0 apart from 0.0, and NaNs of two payloads both the empty cell
+@example(columns=[np.array([0.0, -0.0, 5e-324, math.inf, -math.inf, 1e-5, 1e16,
+                            *np.array([0x7FF8000000000001, 0xFFF0000000000BAD],
+                                      np.uint64).view(np.float64)] * 3),
+                  np.arange(27, dtype=np.int64)], batch=_BATCH)
 @settings(max_examples=300, deadline=None)
 def test_column_block_matches_reference_writer(columns, batch):
     with mock.patch.object(nfgaps.output, "_BATCH", batch):

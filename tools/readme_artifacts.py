@@ -5,9 +5,11 @@
 
 Run it in two checkouts (say, before and after a change) and diff the outputs.
 
-Each `nfgaps ...` line of the README's code blocks, followed by any command
-lines given as arguments, runs as `python -m nfgaps.cli ... --out out` in a
-fresh temporary directory, with this checkout's `src` on PYTHONPATH.  The
+Each distinct command among the `nfgaps ...` lines of the README's code
+blocks and the command lines given as arguments runs, in sorted order, as
+`python -m nfgaps.cli ... --out out` in a fresh temporary directory, with
+this checkout's `src` on PYTHONPATH; so a command that one checkout's README
+holds and the other is given as an argument lands in the same place.  The
 script prints each command with its exit status, then one `sha256  path`
 line per artifact.  manifest.json is hashed without its `started` line, the
 only field that differs between identical runs.  Two checkouts print the
@@ -66,5 +68,5 @@ def run(command: str) -> None:
 
 
 if __name__ == "__main__":
-    for command in readme_commands(ROOT / "README.md") + sys.argv[1:]:
+    for command in sorted(set(readme_commands(ROOT / "README.md") + sys.argv[1:])):
         run(command)
