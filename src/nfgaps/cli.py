@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .angles import angle_sequence, empirical_G, gap_per_point, normalized_gaps
-from .errors import PreconditionError
+from .errors import PreconditionError, _thread_count
 from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, convergence_scan,
                           equidistribution_check, exponential_limit_scan, h_independence)
 from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
@@ -264,10 +264,10 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
                 f"--sum-b must be comma-separated integers; got {args.sum_b!r}") from None
         a = args.sum_a or 0
         if args.interval is not None:
-            value = incomplete_sum(tup, a, b, args.interval)
+            value = incomplete_sum(tup, a, b, args.interval, args.threads)
             bound = 8 * tup.d * math.sqrt(tup.p) * math.log(tup.p)
         else:
-            value = complete_sum(tup, a, b)
+            value = complete_sum(tup, a, b, args.threads)
             bound = 4 * tup.d * math.sqrt(tup.p)
         header = ["p", "d", "a", *(f"b{k + 1}" for k in range(len(b))), "re", "im",
                   "bound_ratio"]
@@ -337,6 +337,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:   # usage errors (status 2), --help and --version
         return exc.code
     try:
+        _thread_count(args.threads)    # every command rejects --threads below 1 up front
         out = _out_dir(args)
         artifacts = _HANDLERS[args.command](args, out)
         write_json(out / "manifest.json", manifest(args.command, _flags_dict(args), args.seed,

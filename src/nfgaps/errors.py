@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the worker-count rule shared across the package."""
+from __future__ import annotations
+
+import os
 
 __all__ = ["PreconditionError"]
 
@@ -9,3 +12,12 @@ class PreconditionError(ValueError):
     The message states the violated precondition; the CLI prints it
     verbatim and exits with status 2.
     """
+
+
+def _thread_count(threads: int | None) -> int:
+    """The worker cap a `--threads` value gives: None means min(8, CPUs)."""
+    if threads is None:
+        return min(8, os.cpu_count() or 1)
+    if threads < 1:
+        raise PreconditionError(f"threads must be >= 1 (--threads); got {threads}")
+    return threads

@@ -9,7 +9,9 @@ deviation from the product main term normalized by sqrt(p) log^(d+1) p.
 Every sum, box count and magnitude grid reads the tuple's graph, the
 points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple.
 Translates r(x) = r'(x + s), such as the neighbor-flip maps (all translates
-of u/(1 - h u)), share one value table; sums build the phase in place.
+of u/(1 - h u)), share one value table.  A sum builds its phase leaf by leaf
+along numpy's pairwise-summation tree, on up to `threads` workers: it holds
+O(_LEAF) memory per worker and has the bits of one numpy sum for any count.
 
 Bound-check constants used by callers (4d for complete sums, 8d log p for
 incomplete ones, 5 for normalized box errors) are harness thresholds:
@@ -19,13 +21,14 @@ loudly.  They are not sharp analytic constants.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _thread_count
 from .modcurve import _check_array_modulus, _inverse_table, is_prime, mod_inverse
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
 
 # A neighbor-flip graph holds (2D+1)(p-2D) int64 cells: about 800 MB at the cap.
 _MAX_GRAPH_CELLS = 10 ** 8
+_LEAF = 1 << 16      # columns per leaf of a sum: about 2 MB of buffers per worker
 
 
 @lru_cache(maxsize=32)
@@ -196,18 +200,64 @@ def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
     return FracLinearTuple(p=p, funcs=funcs)
 
 
-def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int]) -> complex:
-    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph."""
+def _sum_tree(lo: int, hi: int) -> slice | tuple:
+    """numpy's pairwise-sum tree over the columns lo..hi-1, cut at leaves of at
+    most _LEAF columns: a leaf is a slice of columns, an inner node a pair.
+    CDOUBLE_pairwise_sum splits n > 64 complex terms after (n - n % 8) / 2."""
+    n = hi - lo
+    if n <= max(_LEAF, 64):
+        return slice(lo, hi)
+    mid = lo + (n - n % 8) // 2
+    return _sum_tree(lo, mid), _sum_tree(mid, hi)
+
+
+def _leaves(tree: slice | tuple) -> list[slice]:
+    return [tree] if isinstance(tree, slice) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _fold(tree: slice | tuple, sums: Iterator[complex]) -> complex:
+    """The next leaf sums added in the tree's order."""
+    if isinstance(tree, slice):
+        return next(sums)
+    return _fold(tree[0], sums) + _fold(tree[1], sums)
+
+
+def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
+               threads: int | None = None) -> complex:
+    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph.
+
+    The bits are those of one np.exp(2j * np.pi * (phase / p)).sum() over all
+    the columns, whose summation order this copies: numpy adds a contiguous
+    complex array along a pairwise tree that depends only on its length, so
+    each leaf of that tree (`_sum_tree`) forms its own phase and sums it in
+    numpy, and the leaf sums are added in tree order (TestPhaseSum pins it).
+    Leaves run on up to `threads` workers, each holding O(_LEAF) memory; the
+    tree, so the result, does not depend on the thread count.
+    """
     if len(b) != len(graph) - 1:
         raise PreconditionError(f"need {len(graph) - 1} coefficients b; got {len(b)}")
-    phase = graph[0] * (a % p)
-    term = np.empty_like(phase)
-    for bj, values in zip(b, graph[1:]):
-        if len(graph) * (p - 1) ** 2 >= 2 ** 63:   # else d+1 terms below p^2 fit int64
-            phase %= p
-        phase += np.multiply(values, bj % p, out=term)
-    phase %= p
-    return _unit_sum(phase, p)
+    threads = _thread_count(threads)
+    a, b = a % p, [bj % p for bj in b]
+    reduce_each = len(graph) * (p - 1) ** 2 >= 2 ** 63   # else d+1 terms below p^2 fit int64
+
+    def leaf(cols: slice) -> complex:
+        part = graph[:, cols]
+        phase = part[0] * a
+        term = np.empty_like(phase)
+        for bj, values in zip(b, part[1:]):
+            if reduce_each:
+                phase %= p
+            phase += np.multiply(values, bj, out=term)
+        phase %= p
+        return _unit_sum(phase, p)
+
+    tree = _sum_tree(0, graph.shape[1])
+    leaves = _leaves(tree)
+    jobs = min(threads, len(leaves))
+    if jobs == 1:
+        return _fold(tree, map(leaf, leaves))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return _fold(tree, pool.map(leaf, leaves))
 
 
 def _unit_sum(phase: np.ndarray, p: int) -> complex:
@@ -217,9 +267,11 @@ def _unit_sum(phase: np.ndarray, p: int) -> complex:
     return complex(np.exp(z, out=z).sum())
 
 
-def complete_sum(tup: FracLinearTuple, a: int, b: Sequence[int]) -> complex:
-    """Exact sum of e((a x + sum b_j r_j(x)) / p) over all non-pole x."""
-    return _graph_sum(tup.graph, tup.p, a, b)
+def complete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
+                 threads: int | None = None) -> complex:
+    """Exact sum of e((a x + sum b_j r_j(x)) / p) over all non-pole x, on up
+    to `threads` workers (the result does not depend on them)."""
+    return _graph_sum(tup.graph, tup.p, a, b, threads)
 
 
 @dataclass(frozen=True)
@@ -253,10 +305,10 @@ def _window_columns(graph: np.ndarray, window: Interval) -> np.ndarray:
 
 
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
-                   window: Interval) -> complex:
+                   window: Interval, threads: int | None = None) -> complex:
     """The complete sum restricted to x in the window (poles still omitted)."""
     _check_windows(tup.p, window)
-    return _graph_sum(_window_columns(tup.graph, window), tup.p, a, b)
+    return _graph_sum(_window_columns(tup.graph, window), tup.p, a, b, threads)
 
 
 def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
@@ -278,8 +330,7 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
 
 def geometric_interval_sum(p: int, a: int, window: Interval) -> complex:
     """Sum of e(a y / p) over y in the window, no pole exclusion."""
-    ys = np.arange(window.lo, window.hi + 1, dtype=np.int64)
-    return _unit_sum((a % p) * ys % p, p)
+    return _graph_sum(np.arange(window.lo, window.hi + 1, dtype=np.int64)[None], p, a, [])
 
 
 def geometric_sum_bound(p: int, a: int, length: int) -> float:

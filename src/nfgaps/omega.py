@@ -53,14 +53,13 @@ _MAX_ROWS rows, which puts the MC floor near t = 4e-6.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _thread_count
 
 __all__ = [
     "OmegaSpec",
@@ -231,6 +230,7 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     by its row's window and overwritten by the next, so memory is
     O(_BLOCK) for any D.  The rows holding 0 run first, then each side of
     0, its samples sorted by its key past _SORT_PASSES (module docstring).
+    A block stops as soon as the rows holding 0 have rejected all of it.
     """
     slots, lo_ends, hi_ends = spec.windows
     above, below = lo_ends > 0.0, hi_ends < 0.0
@@ -254,7 +254,9 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
         np.subtract(1.0, x4, out=x4)
         x4 *= 2.0                        # 4x with x = (1-u)/2 in (0, 1/2]
         stream.fill(spec.D, u0)          # slot D carries y_0 = u_0 - 1/2 (offset j=0)
-        for row_slots, row_lo, row_hi, origin, reach in phases:
+        for side, (row_slots, row_lo, row_hi, origin, reach) in enumerate(phases):
+            if m == 0:
+                break                    # no live sample is left for a side to test
             firsts = np.zeros(len(row_slots), dtype=np.intp)
             if reach is not None:
                 key = np.abs(np.subtract(u0[:m], origin, out=v[:m]), out=v[:m])
@@ -279,6 +281,9 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
                 np.greater_equal(vk, lo_end, out=hk)
                 hk &= np.less_equal(vk, hi_end, out=le[k:m])
                 rejected[k:m] |= hk
+                if side == 0 and rejected.all():
+                    m = 0                # the rows holding 0 rejected every sample
+                    break
         accepted += m - int(np.count_nonzero(rejected[:m]))
     return accepted
 
@@ -296,10 +301,7 @@ def omega_volume(t, lam: float, samples: int, seed: int,
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
     spec = OmegaSpec(t, lam)
     seed = int(seed)
-    if threads is None:
-        threads = min(8, os.cpu_count() or 1)
-    if threads < 1:
-        raise PreconditionError(f"threads must be >= 1 (--threads); got {threads}")
+    threads = _thread_count(threads)
     # Builds the region before the workers share it.  Sample i draws the
     # counters i*dims .. i*dims + dims-1, which must stay below 2**64.
     if samples * spec.dims > 2 ** 64:

@@ -320,6 +320,22 @@ class TestValidationErrors:
         assert "1e-400" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--q", "11", "--h", "1"],
+        ["gaps", "--q", "11", "--h", "1", "--t", "2.76"],
+        ["limit", "--t", "2.76"],
+        ["omega", "--t", "2.76", "--lambda", "1", "--samples", "10000"],
+        ["expsum", "--p", "11", "--sum-b", "1,2"],
+        ["scan", "--kind", "composite", "--q", "10", "12"],
+    ], ids=["curve", "gaps", "limit", "omega", "expsum", "scan"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_cap_below_one(self, argv, threads, tmp_path, capsys):
+        # every command rejects the cap before it makes the output directory
+        out = tmp_path / "out"
+        assert run([*argv, "--threads", threads, "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["curve", "--q", "3037000501", "--h", "1"], "--q"),
         (["gaps", "--q", "3037000501", "--h", "1", "--t", "3"], "--q"),

@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, PreconditionError,
@@ -12,7 +14,7 @@ from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, Precondition
                     geometric_interval_sum, geometric_sum_bound, incomplete_sum,
                     neighbor_flip_tuple)
 from nfgaps.cli import run
-from nfgaps.expsum import _graph_sum, _unit_sum, inverse_table
+from nfgaps.expsum import _LEAF, _graph_sum, _unit_sum, inverse_table
 from nfgaps.modcurve import ARRAY_MODULUS_MAX, is_prime
 
 RNG = np.random.default_rng(20240831)
@@ -416,6 +418,64 @@ class TestPhaseSum:
         for p in (101, 2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)):
             phase = RNG.integers(0, p, size=200_000)
             assert _unit_sum(phase, p) == complex(np.exp(2j * np.pi * (phase / p)).sum())
+
+    @settings(max_examples=80, deadline=None)
+    @given(length=st.integers(1, 5000), leaf=st.integers(8, 1000),
+           p=st.sampled_from([101, 2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(length=1, leaf=8, p=101, seed=0)
+    @example(length=7, leaf=8, p=101, seed=1)
+    @example(length=8, leaf=8, p=2000003, seed=2)
+    @example(length=9, leaf=8, p=2000003, seed=3)
+    @example(length=99, leaf=100, p=2000003, seed=4)        # _LEAF - 1
+    @example(length=100, leaf=100, p=2000003, seed=5)       # _LEAF
+    @example(length=101, leaf=100, p=2000003, seed=6)       # _LEAF + 1
+    @example(length=213, leaf=100, p=2000003, seed=7)       # 2 _LEAF + 13
+    @example(length=4999, leaf=8, p=101, seed=8)            # 64-column leaves, a deep tree
+    def test_leaves_keep_numpy_sum_bits(self, length, leaf, p, seed):
+        # leaves cut along numpy's pairwise tree and added in its order give
+        # the bits of one sum over the whole phase, for any thread count
+        phase = np.random.default_rng(seed).integers(0, p, size=length)
+        want = complex(np.exp(2j * np.pi * (phase / p)).sum())
+        with patch("nfgaps.expsum._LEAF", leaf):
+            for threads in (1, 2, 3):
+                assert _graph_sum(phase[None, :], p, 1, [], threads=threads) == want
+
+    def test_sums_do_not_depend_on_threads(self):
+        # 8 workers on 5 leaves, switching threads as often as the interpreter allows
+        tup = neighbor_flip_tuple(300007, 1, 2)
+        assert tup.graph.shape[1] > 4 * _LEAF
+        a, b, window = 3, [5, 7, 11, 13], Interval(17, 300000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for value in (lambda k: complete_sum(tup, a, b, threads=k),
+                          lambda k: incomplete_sum(tup, a, b, window, threads=k)):
+                assert len({value(k) for k in (1, 2, 8)}) == 1
+        finally:
+            sys.setswitchinterval(interval)
+        phase = (a * tup.graph[0] + sum(bj * v for bj, v in zip(b, tup.graph[1:]))) % tup.p
+        assert complete_sum(tup, a, b, threads=2) == _unit_sum(phase, tup.p)
+
+    def test_geometric_sum_bits(self):
+        # the one-row graph gives the bits of one numpy sum over the whole phase
+        p = 2000003
+        for a, lo, hi in ((1, 0, p - 1), (77, 5, 1999000), (-3, 1000, 1000 + 3 * _LEAF + 13),
+                          (12345, 9, 9)):
+            ys = np.arange(lo, hi + 1, dtype=np.int64)
+            assert geometric_interval_sum(p, a, Interval(lo, hi)) == _unit_sum(a % p * ys % p, p)
+
+    def test_sum_memory_holds_leaves(self):
+        # one sum over all 999,999 columns at once traces about 30 MiB
+        tup = neighbor_flip_tuple(1000003, 1, 2)
+        tup.graph                                  # built outside the traced sum
+        tracemalloc.start()
+        try:
+            complete_sum(tup, 3, [5, 7, 11, 13], threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestInverseTable:

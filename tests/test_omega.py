@@ -200,6 +200,7 @@ class TestStreamedCount:
     @example(t=0.1, lam=25.0, seed=1, block=0, offset=0, count=300)       # a side sorts none
     @example(t=2 / 3, lam=1.0, seed=9, block=0, offset=0, count=800)
     @example(t=0.05, lam=0.57, seed=7, block=2, offset=-250, count=500)   # across a block edge
+    @example(t=0.7, lam=3.5, seed=42, block=1, offset=38966, count=1200)  # one accept, late
     def test_matches_per_point_reference(self, t, lam, seed, block, offset, count):
         # the streamed count equals the count of counter_uniforms points that
         # omega_contains accepts, across block edges and rows past D; at small
@@ -211,11 +212,15 @@ class TestStreamedCount:
                                       spec.t, spec.lam, spec.D) for k in range(count))
         assert _count_chunk(spec, seed, start, count) == expected
 
-    @pytest.mark.parametrize("t, lam, most", [(0.1, 1.0, 11.0), (2.76, 0.8, 3.0)])
+    @pytest.mark.parametrize("t, lam, most", [(0.1, 1.0, 11.0), (2.76, 0.8, 3.0),
+                                              (0.1, 25.0, 16.0)])
     def test_uniforms_drawn_per_sample(self, t, lam, most, monkeypatch):
         # one reach key per side of 0 draws 10.5 uniforms per sample at
         # (0.1, 1), 17.0 with the single key 1/2 + |y_0|; a shallow region
-        # draws x, y_0 and its one row for every sample and nothing more
+        # draws x, y_0 and its one row for every sample and nothing more.
+        # At (0.1, 25) the 25 rows holding 0 empty the region: a block stops
+        # once they have rejected all of it, after 12-14 rows (27.0 per
+        # sample when every such row and both sides ran)
         drawn = []
         fill = omega._SlotStream.fill
 
@@ -224,8 +229,9 @@ class TestStreamedCount:
             fill(stream, slot, out, start)
 
         monkeypatch.setattr(omega._SlotStream, "fill", counting)
-        omega_volume(t, lam, 2 ** 20, seed=42, threads=1)
+        accepted = omega_volume(t, lam, 2 ** 20, seed=42, threads=1).accepted
         assert sum(drawn) <= most * 2 ** 20
+        assert (accepted == 0) == (lam >= 1 + 2 / t)     # rows -D+1..D empty the region
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_count_omega_deep(self, threads):
