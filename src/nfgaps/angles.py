@@ -20,13 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
 from .errors import PreconditionError
 from .modcurve import CurvePointSet
-from .output import column_rows
 
 __all__ = [
     "ObserverFrame",
@@ -256,12 +254,11 @@ def empirical_G(gaps: GapSample, lam):
     return float(frac) if np.isscalar(lam) or lam_arr.ndim == 0 else frac
 
 
-def gap_per_point(points, t, J: int | None = None) -> Iterator[tuple[int, int, float | None]]:
+def gap_per_point(points, t, J: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attach to each point its normalized gap to the next point in angular order.
 
-    The points are ordered at call time, so a bad input raises here; the
-    result is a one-shot iterator of (x, y, gap) rows in the *input* point
-    order, built a batch at a time.  The angularly last point carries None.
+    Returns the columns (x, y, gap), int64, int64 and float64, in the *input*
+    point order; the angularly last point carries NaN.
     """
     if not isinstance(points, CurvePointSet):
         points = list(points)
@@ -270,4 +267,4 @@ def gap_per_point(points, t, J: int | None = None) -> Iterator[tuple[int, int, f
     carried = np.empty(seq.n)
     carried[seq.order[:-1]] = normalized_gaps(seq).gaps
     carried[seq.order[-1]] = np.nan
-    return column_rows(xs, ys, carried)
+    return xs, ys, carried

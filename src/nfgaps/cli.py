@@ -23,7 +23,7 @@ from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
 from .limitdist import classify_region, limit_density, limit_G
 from .modcurve import CurvePointSet, build_curve, build_nf_curve
 from .omega import omega_volume, omega_volume_quadrature
-from .output import column_rows, manifest, write_csv, write_json
+from .output import manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
 
@@ -49,9 +49,11 @@ def _grid(text: str) -> LambdaGrid:
 def _interval(text: str) -> Interval:
     try:
         lo, hi = (int(part) for part in text.split(":"))
+        return Interval(lo=lo, hi=hi)
+    except PreconditionError as exc:    # a ValueError too, so caught first
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"interval must look like 'lo:hi'; got {text!r}")
-    return Interval(lo=lo, hi=hi)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,7 +160,7 @@ def _write_points(path: Path, ps: CurvePointSet) -> None:
     """Metadata block (q,h,centered) followed by one x,y row per point."""
     write_csv(path, ["q", "h", "centered"],
               [(ps.q, ps.h, "true" if ps.centered else "false"), ("x", "y")],
-              column_rows(ps.x, ps.y))
+              (ps.x, ps.y))
 
 
 def _write_csvs(out: Path, files: dict) -> list[str]:
@@ -200,7 +202,7 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     grid_values = args.grid.values()
     base = f"gaps_q{args.q}_h{args.h}"
     write_csv(out / f"{base}.csv", ["lambda", "G_emp"],
-              column_rows(grid_values, empirical_G(gaps, grid_values)))
+              (grid_values, empirical_G(gaps, grid_values)))
     write_json(out / f"{base}.json", {
         "q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
         "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max, "delta_av": seq.delta_av,
@@ -310,7 +312,7 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
     else:
         reports, curves = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
     lams = grid.values()
-    files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], column_rows(lams, curve))
+    files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], (lams, curve))
              for (q, h, t), curve in (curves.items() if args.curves else ())}
     if args.curves and len(files) < len(curves):
         raise PreconditionError("--t values must differ in their first 6 significant digits "

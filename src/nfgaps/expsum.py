@@ -24,7 +24,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -200,26 +200,16 @@ def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
     return FracLinearTuple(p=p, funcs=funcs)
 
 
-def _sum_tree(lo: int, hi: int) -> slice | tuple:
+def _sum_tree(lo: int, hi: int, leaf: Callable):
     """numpy's pairwise-sum tree over the columns lo..hi-1, cut at leaves of at
-    most _LEAF columns: a leaf is a slice of columns, an inner node a pair.
-    CDOUBLE_pairwise_sum splits n > 64 complex terms after (n - n % 8) / 2."""
+    most _LEAF columns: leaf(slice of columns) at each leaf, the two halves
+    added at each inner node, the left one first.  CDOUBLE_pairwise_sum splits
+    n > 64 complex terms after (n - n % 8) / 2."""
     n = hi - lo
     if n <= max(_LEAF, 64):
-        return slice(lo, hi)
+        return leaf(slice(lo, hi))
     mid = lo + (n - n % 8) // 2
-    return _sum_tree(lo, mid), _sum_tree(mid, hi)
-
-
-def _leaves(tree: slice | tuple) -> list[slice]:
-    return [tree] if isinstance(tree, slice) else _leaves(tree[0]) + _leaves(tree[1])
-
-
-def _fold(tree: slice | tuple, sums: Iterator[complex]) -> complex:
-    """The next leaf sums added in the tree's order."""
-    if isinstance(tree, slice):
-        return next(sums)
-    return _fold(tree[0], sums) + _fold(tree[1], sums)
+    return _sum_tree(lo, mid, leaf) + _sum_tree(mid, hi, leaf)
 
 
 def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
@@ -235,7 +225,7 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
     tree, so the result, does not depend on the thread count.
     """
     if len(b) != len(graph) - 1:
-        raise PreconditionError(f"need {len(graph) - 1} coefficients b; got {len(b)}")
+        raise PreconditionError(f"need {len(graph) - 1} coefficients b (--sum-b); got {len(b)}")
     threads = _thread_count(threads)
     a, b = a % p, [bj % p for bj in b]
     reduce_each = len(graph) * (p - 1) ** 2 >= 2 ** 63   # else d+1 terms below p^2 fit int64
@@ -251,13 +241,15 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
         phase %= p
         return _unit_sum(phase, p)
 
-    tree = _sum_tree(0, graph.shape[1])
-    leaves = _leaves(tree)
+    n = graph.shape[1]
+    leaves = _sum_tree(0, n, lambda cols: [cols])
     jobs = min(threads, len(leaves))
     if jobs == 1:
-        return _fold(tree, map(leaf, leaves))
+        sums = map(leaf, leaves)
+        return _sum_tree(0, n, lambda _: next(sums))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return _fold(tree, pool.map(leaf, leaves))
+        sums = pool.map(leaf, leaves)
+        return _sum_tree(0, n, lambda _: next(sums))
 
 
 def _unit_sum(phase: np.ndarray, p: int) -> complex:

@@ -167,8 +167,6 @@ class _SlotStream:
     """
 
     def __init__(self, seed: int, start: int, count: int, slots: int) -> None:
-        if not (0 <= seed < 2 ** 64):
-            raise PreconditionError(f"seed must be a 64-bit unsigned integer; got {seed}")
         idx = np.arange(start, start + count, dtype=np.uint64)
         self._base = idx * np.uint64(slots) * _GAMMA + np.uint64(seed)
         self._z, self._w = np.empty_like(idx), np.empty_like(idx)
@@ -299,8 +297,10 @@ def omega_volume(t, lam: float, samples: int, seed: int,
     """
     if samples < _MIN_SAMPLES:
         raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
-    spec = OmegaSpec(t, lam)
     seed = int(seed)
+    if not (0 <= seed < 2 ** 64):
+        raise PreconditionError(f"seed must be a 64-bit unsigned integer (--seed); got {seed}")
+    spec = OmegaSpec(t, lam)
     threads = _thread_count(threads)
     # Builds the region before the workers share it.  Sample i draws the
     # counters i*dims .. i*dims + dims-1, which must stay below 2**64.

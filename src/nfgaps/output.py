@@ -4,17 +4,18 @@ CSV: '.' decimal separator, '\n' line endings, UTF-8.  Callers pass raw
 values; `write_csv` writes a float (np.float64 too) with `%.17g`, 17
 significant digits (value-preserving), None as an empty cell and anything
 else through str().  Numeric tables (point sets, per-point gaps, gap curves)
-go as `column_rows` blocks of float64 and int64 columns through one exact
-vectorised formatter that gives the same cells (NaN is the empty cell; floats
-outside 1e-4 <= |x| < 1e16 are formatted one distinct value at a time).  No
-cell (a number, region tag, true/false or header name) holds a comma, a quote
-or a newline, so none is quoted.  JSON keys are sorted; the report and the
-manifest are indented by 2, curve and gap sidecars are compact.
+go as column blocks, plain tuples of float64 and int64 numpy columns,
+through one exact vectorised formatter that gives the same cells (NaN is the
+empty cell; floats outside 1e-4 <= |x| < 1e16 are formatted one distinct
+value at a time).  No cell (a number, region tag, true/false or header name)
+holds a comma, a quote or a newline, so none is quoted.  JSON keys are
+sorted; the report and the manifest are indented by 2, curve and gap
+sidecars are compact.
 """
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import islice
@@ -116,42 +117,20 @@ def _format_columns(columns: Sequence[np.ndarray]) -> bytes:
     return np.hstack([c for c, _ in cells])[np.hstack([k for _, k in cells])].tobytes()
 
 
-class column_rows(Iterator):
-    """One-shot iterator over the rows of equal-length numpy columns, built
-    _BATCH at a time; a NaN cell comes out as None, the empty cell.  Until its
-    first row it keeps `columns`, so `write_csv` can format the block whole."""
-
-    def __init__(self, *columns: np.ndarray) -> None:
-        self.columns, self._rows = columns, iter(())
-
-    def __next__(self) -> tuple:
-        if self.columns is not None:
-            self._rows, self.columns = _rows(self.columns), None
-        return next(self._rows)
-
-
-def _rows(columns: tuple[np.ndarray, ...]) -> Iterator[tuple]:
-    for start in range(0, len(columns[0]), _BATCH):
-        parts = [column[start:start + _BATCH] for column in columns]
-        cells = [part.tolist() for part in parts]
-        for col, row in zip(*np.nonzero(np.isnan(parts))):
-            cells[col][row] = None
-        yield from zip(*cells)
-
-
 def write_csv(path: str | Path, header: Sequence, *blocks: Iterable[Sequence]) -> None:
-    """Header line, then each block's rows, _BATCH lines per write: an unstarted
-    `column_rows` block of float64/int64 columns in numpy, other rows cell by cell."""
+    """Header line, then each block, _BATCH lines per write: a tuple of
+    equal-length float64/int64 numpy columns in numpy, any other block (an
+    iterable of rows) cell by cell.  A column of another dtype is a TypeError."""
     with open(path, "wb") as fh:
         fh.write(_format_rows([header]))
-        for rows in blocks:
-            columns = rows.columns if isinstance(rows, column_rows) else None
-            if columns is not None and all(c.dtype in (np.float64, np.int64) for c in columns):
-                rows.columns = None
-                for start in range(0, len(columns[0]), _BATCH):
-                    fh.write(_format_columns([c[start:start + _BATCH] for c in columns]))
+        for block in blocks:
+            if isinstance(block, tuple):
+                if not all(c.dtype in (np.float64, np.int64) for c in block):
+                    raise TypeError("a column block takes float64 or int64 numpy columns")
+                for start in range(0, len(block[0]), _BATCH):
+                    fh.write(_format_columns([c[start:start + _BATCH] for c in block]))
                 continue
-            rows = iter(rows)
+            rows = iter(block)
             while batch := list(islice(rows, _BATCH)):
                 fh.write(_format_rows(batch))
 

@@ -158,17 +158,19 @@ def counter_uniforms(seed: int, start: int, count: int, slots: int) -> np.ndarra
     return out
 
 
-def per_point_rows(points, t, J: int | None = None) -> list[tuple[int, int, float | None]]:
-    """`gap_per_point` row by row: carried gaps in a NaN-filled array, then one
-    tuple per point in input order, None where the carried gap is NaN."""
+def per_point_columns(points, t, J: int | None = None) -> tuple[list, list, np.ndarray]:
+    """`gap_per_point` point by point: x and y as int lists in input order, and
+    a NaN-filled gap column that gets each gap at the index of the point it
+    follows in angular order."""
     if not isinstance(points, CurvePointSet):
         points = list(points)
     xs, ys, _ = _coordinates(points, J)
     seq = angle_sequence(points, t, J)
+    gaps = normalized_gaps(seq).gaps.tolist()
     carried = np.full(seq.n, np.nan)
-    carried[seq.order[:-1]] = normalized_gaps(seq).gaps
-    return [(x, y, None if math.isnan(g) else g)
-            for x, y, g in zip(xs.tolist(), ys.tolist(), carried.tolist())]
+    for k, i in enumerate(seq.order[:-1].tolist()):
+        carried[i] = gaps[k]
+    return xs.tolist(), ys.tolist(), carried
 
 
 @lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
 from nfgaps.angles import _separable
 from nfgaps.output import write_csv
 
-from conftest import cached_gap_sample, per_point_rows
+from conftest import cached_gap_sample, per_point_columns
 
 
 def slope_order_oracle(points, t: Fraction, J: int):
@@ -305,29 +305,30 @@ class TestEmpiricalG:
 
 class TestGapPerPoint:
     def test_two_points(self):
-        rows = list(gap_per_point([(0, 1), (0, -1)], 3, J=2))
-        assert rows == [(0, 1, None), (0, -1, 1.0)]
+        x, y, gap = gap_per_point([(0, 1), (0, -1)], 3, J=2)
+        assert (x.tolist(), y.tolist()) == ([0, 0], [1, -1])
+        assert np.array_equal(gap, [np.nan, 1.0], equal_nan=True)
 
     def test_symmetric_fan_unit_gaps(self):
-        rows = gap_per_point([(0, -5), (0, 0), (0, 5)], 2, J=5)
-        gaps = [g for (_, _, g) in rows]
-        assert gaps[:2] == pytest.approx([1.0, 1.0]) and gaps[2] is None
+        _, _, gap = gap_per_point([(0, -5), (0, 0), (0, 5)], 2, J=5)
+        assert gap[:2] == pytest.approx([1.0, 1.0]) and np.isnan(gap[2])
 
     def test_order_matches_input(self):
         ps = build_curve(101, 1)
-        rows = list(gap_per_point(ps, 3))
-        assert [(x, y) for x, y, _ in rows] == list(ps.points)
-        assert sum(g is None for _, _, g in rows) == 1
+        x, y, gap = gap_per_point(ps, 3)
+        assert list(zip(x.tolist(), y.tolist())) == list(ps.points)
+        assert (x.dtype, y.dtype, gap.dtype) == (np.int64, np.int64, np.float64)
+        assert np.count_nonzero(np.isnan(gap)) == 1
 
-    def test_one_shot_iterator_from_a_plain_function(self):
+    def test_columns_from_a_plain_function(self):
         # a generator function's resumptions would show up as traced calls
         assert not inspect.isgeneratorfunction(gap_per_point)
-        rows = gap_per_point(build_curve(101, 1), 3)
-        assert len(list(rows)) == 99 and list(rows) == []
+        columns = gap_per_point(build_curve(101, 1), 3)
+        assert type(columns) is tuple and [len(c) for c in columns] == [99, 99, 99]
 
     def test_observer_in_square_raises_at_call_time(self):
         # q = 7: J = 3 and t*J = 1, so the observer is not left of the square;
-        # the call orders the points, so it raises before any row is taken
+        # the call orders the points, so it raises there
         with pytest.raises(PreconditionError, match="left of the square"):
             gap_per_point(build_curve(7, 1), Fraction(1, 3))
 
@@ -336,9 +337,7 @@ class TestGapPerPoint:
         try:
             for collecting in (True, False):
                 (gc.enable if collecting else gc.disable)()
-                rows = gap_per_point(ps, 3)
-                assert gc.isenabled() == collecting
-                list(rows)
+                gap_per_point(ps, 3)
                 assert gc.isenabled() == collecting
         finally:
             gc.enable()
@@ -360,20 +359,20 @@ class TestGapPerPoint:
     def test_rows_match_per_row_oracle(self, q, h, t):
         assume(t * ((q - 1) // 2) > 1)     # the observer must lie left of the square
         ps = build_curve(q, h % (q - 1) + 1)
-        rows = list(gap_per_point(ps, t))
-        assert rows == per_point_rows(ps, t)
+        x, y, gap = gap_per_point(ps, t)
+        want_x, want_y, want_gap = per_point_columns(ps, t)
+        assert (x.tolist(), y.tolist()) == (want_x, want_y)
+        assert np.array_equal(gap, want_gap, equal_nan=True)
         # the angularly last point: largest exact slope key, the later one on a tie
-        key = lambda i: Fraction(rows[i][1], t.denominator * rows[i][0] + t.numerator * ps.J ** 2)
-        last = max(reversed(range(len(rows))), key=key)
-        assert [i for i, (_, _, g) in enumerate(rows) if g is None] == [last]
+        key = lambda i: Fraction(want_y[i], t.denominator * want_x[i] + t.numerator * ps.J ** 2)
+        last = max(reversed(range(len(want_x))), key=key)
+        assert np.flatnonzero(np.isnan(gap)).tolist() == [last]
 
     def test_close_observer_shifts_gaps_small(self):
         # near observer: small gaps dominate; median drops versus a far observer
-        far = list(gap_per_point(build_curve(5003, 1), 5))
-        near = list(gap_per_point(build_curve(5003, 1), Fraction(1, 3)))
-        med_far = np.median([g for *_, g in far if g is not None])
-        med_near = np.median([g for *_, g in near if g is not None])
-        assert med_near < med_far
+        _, _, far = gap_per_point(build_curve(5003, 1), 5)
+        _, _, near = gap_per_point(build_curve(5003, 1), Fraction(1, 3))
+        assert np.nanmedian(near) < np.nanmedian(far)
 
 
 class TestEquidistribution:

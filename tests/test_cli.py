@@ -290,6 +290,11 @@ class TestValidationErrors:
         (["omega", "--t", "2.76", "--lambda", "inf", "--samples", "10000"], "--lambda"),
         (["omega", "--t", "1.45", "--lambda", "1", "inf", "--samples", "10000",
           "--quadrature"], "--lambda"),
+        (["expsum", "--p", "101", "--D", "1", "--sum-b", "1,2,3"], "--sum-b"),
+        (["omega", "--t", "2.76", "--lambda", "1", "--samples", "10000", "--seed", "-1"],
+         "--seed"),
+        (["omega", "--t", "2.76", "--lambda", "1", "--samples", "10000",
+          "--seed", str(2 ** 64)], "--seed"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
@@ -300,13 +305,25 @@ class TestValidationErrors:
             "omega-t-subnormal", "curve-union-h", "gaps-t-float-overflow",
             "exponential-t-float-overflow", "equidistribution-t-float-overflow",
             "expsum-interval-without-sum", "expsum-sum-a-without-sum",
-            "equidistribution-one-angle", "omega-inf-lambda", "omega-inf-lambda-quadrature"])
+            "equidistribution-one-angle", "omega-inf-lambda", "omega-inf-lambda-quadrature",
+            "sum-b-arity", "omega-negative-seed", "omega-seed-past-64-bits"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--interval", "5:3"],
+        ["--box", "5:3", "0:10", "0:10"],
+    ], ids=["interval", "box"])
+    def test_reversed_interval_message(self, argv, tmp_path, capsys):
+        # the window's own precondition reaches stderr, not argparse's generic text
+        out = tmp_path / "out"
+        assert run(["expsum", "--p", "101", "--sum-b", "1,2", *argv, "--out", str(out)]) == 2
+        assert "invalid interval [5, 3]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["gaps", "--q", "101", "--h", "1"],
@@ -396,6 +413,15 @@ class TestProcessLevel:
         assert (proc.returncode, proc.stderr) == (0, "")
         rows = (tmp_path / "omega.csv").read_text().splitlines()[1:]
         assert [row.split(",")[5] for row in rows] == ["0", "0"]
+
+    def test_package_import_leaves_output_out(self):
+        # only the CLI writes files: the library modules never import the writer
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, nfgaps; print('nfgaps.output' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test-only dependency: the package must not import it.

@@ -172,9 +172,12 @@ class TestCounterStream:
         assert np.abs(u.mean(axis=1) - 0.5).max() < 0.005
         assert np.abs(u.var(axis=1) - 1 / 12).max() < 0.002
 
-    def test_seed_validation(self):
-        with pytest.raises(PreconditionError):
-            counter_uniforms(-1, 0, 10, 2)
+    def test_seed_validation(self, monkeypatch):
+        # checked once, before the region is built and any stream is drawn
+        monkeypatch.setattr(omega, "OmegaSpec", None)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(PreconditionError, match="--seed"):
+                omega_volume(2.76, 1.0, 10 ** 4, seed=seed)
 
     @pytest.mark.parametrize("args, digest", [
         ((42, 0, 1000, 5), "b34570c1e9cf1538e456b74810d85880ee1ed8945c6e5551827cf909833e0f3b"),

@@ -5,11 +5,12 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nfgaps.output
-from nfgaps.output import _BATCH, column_rows, write_csv
+from nfgaps.output import _BATCH, write_csv
 
 
 def reference_write_csv(path, header, rows):
@@ -85,17 +86,6 @@ def test_write_csv_across_batches_matches_reference_writer(header, body, batch):
         assert ours.read_bytes() == ref.read_bytes()
 
 
-def test_column_rows_cross_batches():
-    n = 2 * _BATCH + 3
-    xs = np.arange(n, dtype=np.int64) - 5
-    gaps = np.linspace(0.0, 2.0, n)
-    gaps[[0, _BATCH, n - 1]] = np.nan
-    rows = column_rows(xs, gaps)
-    want = [(x, None if math.isnan(g) else g) for x, g in zip(xs.tolist(), gaps.tolist())]
-    assert list(rows) == want and list(rows) == []
-    assert all(type(x) is int for x, _ in want)
-
-
 def reference_rows(columns):
     """The rows of numpy columns as Python values, NaN as None, built per cell."""
     return [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
@@ -105,11 +95,11 @@ def reference_rows(columns):
 def assert_block_matches_reference(columns, lead=()):
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
-        block = column_rows(*columns)
-        write_csv(ours, ["a"] * len(columns), list(lead), block)
+        before = [column.tobytes() for column in columns]
+        write_csv(ours, ["a"] * len(columns), list(lead), tuple(columns))
         reference_write_csv(ref, ["a"] * len(columns), [*lead, *reference_rows(columns)])
         assert ours.read_bytes() == ref.read_bytes()
-        assert list(block) == []                     # writing spends the block
+        assert [column.tobytes() for column in columns] == before   # the columns stay as given
 
 
 def decades(lo, hi):
@@ -177,15 +167,9 @@ def test_every_decade_matches_percent_format():
     assert_block_matches_reference([values, values[::-1].copy()])
 
 
-def test_started_and_other_blocks_take_the_row_path():
-    xs = np.arange(7, dtype=np.int64) - 3
-    started = column_rows(xs, xs * 0.5)
-    assert next(started) == (-3, -1.5)
-    small = np.array([1, -2, 3], dtype=np.int32)
-    flags = np.array([True, False, True])
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(nfgaps.output, "_BATCH", 2):
-        ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
-        write_csv(ours, ["a", "b"], started, column_rows(small, flags))
-        reference_write_csv(ref, ["a", "b"], [*reference_rows([xs[1:], xs[1:] * 0.5]),
-                                              *zip(small.tolist(), flags.tolist())])
-        assert ours.read_bytes() == ref.read_bytes()
+@pytest.mark.parametrize("column", [np.array([1, -2, 3], dtype=np.int32),
+                                    np.array([True, False, True])], ids=["int32", "bool"])
+def test_other_column_dtypes_raise(column, tmp_path):
+    # a tuple block is numeric columns only; rows of other values go as a list
+    with pytest.raises(TypeError, match="float64 or int64"):
+        write_csv(tmp_path / "ours.csv", ["a", "b"], (np.arange(3) * 0.5, column))
