@@ -18,8 +18,8 @@ from .angles import angle_sequence, empirical_G, gap_per_point, normalized_gaps
 from .errors import PreconditionError, _thread_count
 from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, convergence_scan,
                           equidistribution_check, exponential_limit_scan, h_independence)
-from .expsum import (BoxSpec, Interval, box_count, complete_sum, incomplete_sum,
-                     neighbor_flip_tuple)
+from .expsum import (BoxSpec, Interval, _check_windows, box_count, complete_sum,
+                     incomplete_sum, neighbor_flip_tuple)
 from .limitdist import classify_region, limit_density, limit_G
 from .modcurve import CurvePointSet, build_curve, build_nf_curve
 from .omega import omega_volume, omega_volume_quadrature
@@ -257,13 +257,18 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
         raise PreconditionError(
             f"--box needs 1 x-window plus {tup.d} value windows; got {len(args.box)}"
         )
-    files = {}
     if args.sum_b is not None:
         try:
             b = [int(part) for part in args.sum_b.split(",")]
         except ValueError:
             raise PreconditionError(
                 f"--sum-b must be comma-separated integers; got {args.sum_b!r}") from None
+        if len(b) != tup.d:
+            raise PreconditionError(f"need {tup.d} coefficients b (--sum-b); got {len(b)}")
+    _check_windows(tup.p, *filter(None, [args.interval, *(args.box or ())]))
+    tup.graph                    # built here, outside the traced sum and box
+    files = {}
+    if args.sum_b is not None:
         a = args.sum_a or 0
         if args.interval is not None:
             value = incomplete_sum(tup, a, b, args.interval, args.threads)

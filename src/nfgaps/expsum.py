@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-# A neighbor-flip graph holds (2D+1)(p-2D) int64 cells: about 800 MB at the cap.
+# A neighbor-flip graph holds (2D+1)(p-2D) uint32 cells: about 400 MB at the cap.
 _MAX_GRAPH_CELLS = 10 ** 8
 _LEAF = 1 << 16      # columns per leaf of a sum: about 2 MB of buffers per worker
 
@@ -152,10 +152,11 @@ class FracLinearTuple:
     @cached_property
     def graph(self) -> np.ndarray:
         """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole, in ascending
-        x; read-only int64, shape (d+1, p-d), built once per tuple.  Translates share a value
-        table: the row of r(x) = r'(x + s) is r''s table from x + s, copied slice by slice."""
+        x; read-only uint32 (every residue is below p < 2^32), shape (d+1, p-d), built once
+        per tuple.  Translates share an int64 value table: the row of r(x) = r'(x + s) is
+        r''s table from x + s, copied slice by slice."""
         p, poles = self.p, sorted(self.poles)
-        graph = np.empty((self.d + 1, p - self.d), dtype=np.int64)
+        graph = np.empty((self.d + 1, p - self.d), dtype=np.uint32)
 
         def fill(row: np.ndarray, table: np.ndarray, shift: int) -> None:
             for k, (lo, hi) in enumerate(zip([0] + [q + 1 for q in poles], poles + [p])):
@@ -163,7 +164,7 @@ class FracLinearTuple:
                 head = min(hi - lo, p - start)
                 row[lo - k:lo - k + head] = table[start:start + head]
                 row[lo - k + head:hi - k] = table[:hi - lo - head]
-        fill(graph[0], np.arange(p, dtype=np.int64), 0)
+        fill(graph[0], np.arange(p, dtype=np.uint32), 0)
         table_key = None                       # maps sorted by class: one table at a time
         for key, s, i in sorted((*f._translate_form(), i) for i, f in enumerate(self.funcs)):
             if key != table_key:
@@ -222,7 +223,8 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
     each leaf of that tree (`_sum_tree`) forms its own phase and sums it in
     numpy, and the leaf sums are added in tree order (TestPhaseSum pins it).
     Leaves run on up to `threads` workers, each holding O(_LEAF) memory; the
-    tree, so the result, does not depend on the thread count.
+    tree, so the result, does not depend on the thread count.  The phase is
+    int64 whatever the graph's integer dtype (uint32 products would wrap).
     """
     if len(b) != len(graph) - 1:
         raise PreconditionError(f"need {len(graph) - 1} coefficients b (--sum-b); got {len(b)}")
@@ -232,12 +234,12 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
 
     def leaf(cols: slice) -> complex:
         part = graph[:, cols]
-        phase = part[0] * a
+        phase = np.multiply(part[0], a, dtype=np.int64)
         term = np.empty_like(phase)
         for bj, values in zip(b, part[1:]):
             if reduce_each:
                 phase %= p
-            phase += np.multiply(values, bj, out=term)
+            phase += np.multiply(values, bj, out=term, dtype=np.int64)
         phase %= p
         return _unit_sum(phase, p)
 
@@ -292,8 +294,10 @@ def _check_windows(p: int, *windows: Interval) -> None:
 
 
 def _window_columns(graph: np.ndarray, window: Interval) -> np.ndarray:
-    """The graph's columns with x in the window, a view: the x row is ascending."""
-    return graph[:, slice(*np.searchsorted(graph[0], [window.lo, window.hi + 1]))]
+    """The graph's columns with x in the window, a view: the x row is ascending.
+    The keys take the row's dtype, so searchsorted does not cast a copy of it."""
+    keys = np.array([window.lo, window.hi + 1], dtype=graph.dtype)
+    return graph[:, slice(*np.searchsorted(graph[0], keys))]
 
 
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
@@ -321,7 +325,8 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
 
 
 def geometric_interval_sum(p: int, a: int, window: Interval) -> complex:
-    """Sum of e(a y / p) over y in the window, no pole exclusion."""
+    """Sum of e(a y / p) over y in the window inside [0, p-1], no pole exclusion."""
+    _check_windows(p, window)
     return _graph_sum(np.arange(window.lo, window.hi + 1, dtype=np.int64)[None], p, a, [])
 
 

@@ -181,7 +181,7 @@ class TestExpsumCommand:
         assert run(["expsum", "--p", "101", "--out", str(tmp_path)]) == 2
 
     def test_graph_over_the_cell_cap(self, tmp_path, capsys, monkeypatch):
-        # about 4e9 int64 cells: refused before any map or array is built
+        # about 4e9 uint32 cells: refused before any map or array is built
         def no_map(**kwargs):
             raise AssertionError("a map was built")
 
@@ -195,6 +195,32 @@ class TestExpsumCommand:
         assert run(["expsum", "--p", "101", "--box", "0:50", "0:50",
                     "--out", str(tmp_path)]) == 2
         assert "value windows" in capsys.readouterr().err
+
+    def test_graph_built_before_the_sum(self, tmp_path, monkeypatch):
+        # the traced sum (the self time of complete_sum) then holds no graph fill
+        from nfgaps import cli
+        seen = []
+        sum_ = cli.complete_sum
+        monkeypatch.setattr(cli, "complete_sum", lambda tup, *args: seen.append(
+            "graph" in tup.__dict__) or sum_(tup, *args))
+        assert run(["expsum", "--p", "101", "--D", "1", "--sum-b", "2,3",
+                    "--out", str(tmp_path)]) == 0
+        assert seen == [True]
+
+    @pytest.mark.parametrize("argv", [
+        ["--sum-b", "1,x"], ["--sum-b", "1,2,3"], ["--sum-a", "3", "--box", "0:50"] + ["0:9"] * 2,
+        ["--sum-b", "1,2", "--box", "0:50"], ["--sum-b", "1,2", "--interval", "0:101"],
+        ["--box", "0:50", "0:101", "0:50"],
+    ], ids=["sum-b-literal", "sum-b-arity", "sum-a-without-sum", "box-arity",
+            "interval-past-p", "box-window-past-p"])
+    def test_failed_validation_builds_no_graph(self, argv, tmp_path, monkeypatch):
+        from nfgaps.expsum import FracLinearTuple
+
+        def no_graph(self):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(FracLinearTuple, "graph", property(no_graph))
+        assert run(["expsum", "--p", "101", "--D", "1", *argv, "--out", str(tmp_path)]) == 2
 
 
 class TestScanCommand:

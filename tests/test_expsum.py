@@ -218,6 +218,15 @@ class TestGeometricSum:
             value = geometric_interval_sum(101, a, Interval(0, 100))
             assert abs(value) < 1e-9
 
+    @pytest.mark.parametrize("p, lo, hi", [(101, 0, 101), (101, 100, 101),
+                                           (3037000493, 10 ** 10, 10 ** 10 + 5),
+                                           (3037000493, 0, 10 ** 12)])
+    def test_window_past_the_residues(self, p, lo, hi):
+        # unchecked, a window past p - 1 overflows a y in int64 (a wrong value,
+        # no error) or allocates its whole length (8 TB for 10^12)
+        with pytest.raises(PreconditionError, match="exceeds the residue range"):
+            geometric_interval_sum(p, p - 1, Interval(lo, hi))
+
     def test_paper_bound_holds_exactly(self):
         p = 1009
         for _ in range(200):
@@ -281,7 +290,7 @@ class TestGraph:
     def test_shape_and_columns(self):
         tup = neighbor_flip_tuple(101, 2, 2)
         graph = tup.graph
-        assert graph.dtype == np.int64 and graph.shape == (tup.d + 1, 101 - tup.d)
+        assert graph.dtype == np.uint32 and graph.shape == (tup.d + 1, 101 - tup.d)
         assert list(graph[0]) == [x for x in range(101) if x not in tup.poles]
         for x, *values in graph.T.tolist():
             assert values == [f(x) for f in tup.funcs]
@@ -404,15 +413,18 @@ class TestPhaseSum:
     @pytest.mark.parametrize("p", [2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)])
     @pytest.mark.parametrize("d", [1, 4])
     def test_graph_sum_matches_python_int_phase(self, p, d):
-        # near the array modulus cap (d+1)(p-1)^2 passes 2^63, so each term is reduced
+        # near the array modulus cap (d+1)(p-1)^2 passes 2^63, so each term is reduced;
+        # on a uint32 graph (the cached graph's dtype) a x and b_j r pass 2^32
         rng = np.random.default_rng(p + d)
         graph = p - 1 - rng.integers(0, 1000, size=(d + 1, 500))
         graph[:, :3] = p - 1
-        for a, b in ((p - 1, [p - 1] * d), (-1, [-2] * d),
-                     (3 * p + 7, [10 ** 12 + j for j in range(d)])):
-            phase = [(a * x + sum(bj * int(v) for bj, v in zip(b, col[1:]))) % p
-                     for x, col in zip(graph[0].tolist(), graph.T)]
-            assert _graph_sum(graph, p, a, b) == _unit_sum(np.array(phase), p)
+        for dtype in (np.int64, np.uint32):
+            graph = graph.astype(dtype)
+            for a, b in ((p - 1, [p - 1] * d), (-1, [-2] * d),
+                         (3 * p + 7, [10 ** 12 + j for j in range(d)])):
+                phase = [(a * x + sum(bj * int(v) for bj, v in zip(b, col[1:]))) % p
+                         for x, col in zip(graph[0].tolist(), graph.T)]
+                assert _graph_sum(graph, p, a, b) == _unit_sum(np.array(phase), p), dtype
 
     def test_unit_sum_bits(self):
         for p in (101, 2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)):
@@ -476,6 +488,37 @@ class TestPhaseSum:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_graph_build_memory(self):
+        # the uint32 graph is 19.1 MiB and one int64 value table 7.6 MiB;
+        # an int64 graph traces 45.8 MiB
+        tup = neighbor_flip_tuple(1000003, 1, 2)
+        inverse_table(tup.p)                       # built outside the traced graph
+        tracemalloc.start()
+        try:
+            tup.graph
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    def test_window_memory(self):
+        # 500,000-column windows read the graph in place; searchsorted keys of
+        # another dtype than the x row would cast the whole row (8 MB)
+        tup = neighbor_flip_tuple(1000003, 1, 2)
+        inverse_table(tup.p)
+        tup.graph
+        window = Interval(0, 499999)
+        for stage in (lambda: incomplete_sum(tup, 3, [5, 7, 11, 13], window, threads=1),
+                      lambda: box_count(tup, BoxSpec(x_window=window,
+                                                     value_windows=(window,) * tup.d))):
+            tracemalloc.start()
+            try:
+                stage()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
 
 
 class TestInverseTable:
