@@ -7,9 +7,10 @@ poles.  The harness evaluates complete and incomplete additive-character
 sums exactly (poles omitted) and counts points in boxes, reporting the
 deviation from the product main term normalized by sqrt(p) log^(d+1) p.
 Every sum, box count and magnitude grid reads the tuple's graph, the
-points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple.
-Translates r(x) = r'(x + s), such as the neighbor-flip maps (all translates
-of u/(1 - h u)), share one value table.  A sum builds its phase leaf by leaf
+points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple as
+uint32.  Every map is r(x) = B + K (x + s)^-1, so each row is read off the
+one cached uint32 inverse table in blocks, widened to int64 before the
+product K (x + s)^-1, which passes 2^32.  A sum builds its phase leaf by leaf
 along numpy's pairwise-summation tree, on up to `threads` workers: it holds
 O(_LEAF) memory per worker and has the bits of one numpy sum for any count.
 
@@ -55,8 +56,8 @@ _LEAF = 1 << 16      # columns per leaf of a sum: about 2 MB of buffers per work
 
 @lru_cache(maxsize=32)
 def inverse_table(p: int) -> np.ndarray:
-    """Read-only inverses mod a prime p for 1..p-1 (index 0 holds 0), read
-    off the powers of a primitive root (`modcurve._inverse_table`)."""
+    """Read-only uint32 inverses mod a prime p for 1..p-1 (index 0 holds 0),
+    read off the powers of a primitive root (`modcurve._inverse_table`)."""
     if not is_prime(p):
         raise PreconditionError(f"inverse table requires a prime modulus; got {p}")
     _check_array_modulus(p, "--p")
@@ -105,21 +106,21 @@ class FracLinear:
             raise PreconditionError(f"x={x} is the pole of this map")
         return (self.a + self.b * x) * mod_inverse(den, self.p) % self.p
 
-    def _translate_form(self) -> tuple[tuple[int, int], int]:
-        """((B, K), s) with r(x) = B + K (x + s)^-1; translates share (B, K)."""
+    def _translate_form(self) -> tuple[int, int, int]:
+        """(B, K, s) with r(x) = B + K (x + s)^-1."""
         p, e_inv = self.p, mod_inverse(self.e, self.p)
-        return ((self.b * e_inv % p, (self.a * self.e - self.b * self.c) * e_inv ** 2 % p),
+        return (self.b * e_inv % p, (self.a * self.e - self.b * self.c) * e_inv ** 2 % p,
                 self.c * e_inv % p)
 
     def value_table(self) -> np.ndarray:
         """Values over x = 0..p-1; the pole slot holds -1.
 
         The map is B + K (x + s)^-1 (`_translate_form`), so the table is one
-        gather from the inverse table, scaled and shifted mod p.
+        gather from the uint32 inverse table, widened to int64 as it is
+        scaled, then shifted mod p.
         """
-        p, ((B, K), s) = self.p, self._translate_form()
-        vals = np.roll(inverse_table(p), -s)   # (x + s)^-1
-        vals *= K
+        p, (B, K, s) = self.p, self._translate_form()
+        vals = np.multiply(np.roll(inverse_table(p), -s), K, dtype=np.int64)  # K (x + s)^-1
         vals += B
         vals %= p
         vals[self.pole] = -1
@@ -153,23 +154,23 @@ class FracLinearTuple:
     def graph(self) -> np.ndarray:
         """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole, in ascending
         x; read-only uint32 (every residue is below p < 2^32), shape (d+1, p-d), built once
-        per tuple.  Translates share an int64 value table: the row of r(x) = r'(x + s) is
-        r''s table from x + s, copied slice by slice."""
-        p, poles = self.p, sorted(self.poles)
+        per tuple.  Each map's row is B + K (x + s)^-1 (`_translate_form`), read off the
+        shared inverse table in blocks of _LEAF columns through one int64 buffer."""
+        p, poles, inv = self.p, sorted(self.poles), inverse_table(self.p)
+        forms = [f._translate_form() for f in self.funcs]
         graph = np.empty((self.d + 1, p - self.d), dtype=np.uint32)
-
-        def fill(row: np.ndarray, table: np.ndarray, shift: int) -> None:
-            for k, (lo, hi) in enumerate(zip([0] + [q + 1 for q in poles], poles + [p])):
-                start = (lo + shift) % p       # x = lo..hi-1 fill columns lo-k..hi-k-1
-                head = min(hi - lo, p - start)
-                row[lo - k:lo - k + head] = table[start:start + head]
-                row[lo - k + head:hi - k] = table[:hi - lo - head]
-        fill(graph[0], np.arange(p, dtype=np.uint32), 0)
-        table_key = None                       # maps sorted by class: one table at a time
-        for key, s, i in sorted((*f._translate_form(), i) for i, f in enumerate(self.funcs)):
-            if key != table_key:
-                table_key, table, s0 = key, self.funcs[i].value_table(), s
-            fill(graph[i + 1], table, s - s0)
+        buf = np.empty(_LEAF, dtype=np.int64)
+        for k, (lo, hi) in enumerate(zip([0] + [q + 1 for q in poles], poles + [p])):
+            for x in range(lo, hi, _LEAF):     # x..x+n-1 fill columns x-k..x-k+n-1
+                n = min(_LEAF, hi - x)
+                cols, vals = slice(x - k, x - k + n), buf[:n]
+                graph[0, cols] = np.arange(x, x + n, dtype=np.uint32)
+                for row, (B, K, s) in zip(graph[1:], forms):
+                    start = (x + s) % p        # x..x+n-1 misses the pole -s: no wrap
+                    np.multiply(inv[start:start + n], K, out=vals, dtype=np.int64)
+                    vals += B
+                    vals -= vals // p * p      # vals %= p; numpy floor-divides by a scalar faster
+                    row[cols] = vals
         graph.flags.writeable = False
         return graph
 

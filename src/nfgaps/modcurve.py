@@ -9,11 +9,13 @@ invertible mod q.  Points come in two coordinate conventions:
 * raw: representatives in [0, q-1].
 
 All arithmetic is exact integer arithmetic, so composite moduli work
-uniformly.  Curves are built from one int64 table of inverses mod q, read
+uniformly.  Curves are built from one uint32 table of inverses mod q, read
 off the powers of a generator of the units mod each prime power of q and
-joined by the Chinese remainder theorem, in O(q) steps.  Its products of
-two residues stay below q^2; q must therefore satisfy q^2 < 2^63, i.e.
-q <= 3037000499.  The scalar `mod_inverse` has no bound.
+joined by the Chinese remainder theorem, in O(q) steps.  Products of two
+residues are formed in int64 and stay below q^2; q must therefore satisfy
+q^2 < 2^63, i.e. q <= 3037000499 < 2^32.  uint32 minus or times a Python
+int stays uint32 and wraps, so every reader of the table widens it to int64
+before it subtracts or multiplies.  The scalar `mod_inverse` has no bound.
 """
 from __future__ import annotations
 
@@ -83,13 +85,13 @@ def _unit_generator(p: int, k: int) -> int:
 
 
 def _prime_power_inverses(p: int, k: int) -> np.ndarray:
-    """int64 table of the inverses mod m = p^k for an odd prime p, 0 at
+    """uint32 table of the inverses mod m = p^k for an odd prime p, 0 at
     every non-unit.
 
     The units mod m are the powers g^0 .. g^(phi-1) of one generator g, and
     g^i has the inverse g^(phi-i).  The powers are filled by doubling:
     block [n, 2n) is block [0, n) times g^n, so every product stays below
-    m^2.
+    m^2; the int64 powers are stored into the uint32 table.
     """
     m = p ** k
     phi = m - m // p
@@ -102,22 +104,23 @@ def _prime_power_inverses(p: int, k: int) -> np.ndarray:
         np.multiply(powers[:len(block)], pow(g, n, m), out=block)
         np.remainder(block, m, out=block)
         n += len(block)
-    inv = np.zeros(m, dtype=np.int64)
+    inv = np.zeros(m, dtype=np.uint32)
     inv[1] = 1
     inv[powers[1:]] = powers[:0:-1]
     return inv
 
 
 def _inverse_table(q: int) -> np.ndarray:
-    """int64 table of length q: the inverse of n mod q in [1, q-1] at every
-    unit n, 0 at every non-unit.
+    """uint32 table of length q: the inverse of n mod q in [1, q-1] at every
+    unit n, 0 at every non-unit.  A reader widens it to int64 before it
+    subtracts or multiplies.
 
     Each prime power m of q gets its own table (`_prime_power_inverses`);
     a table of one prime power is returned as it is.  Otherwise the tables
-    are joined by the Chinese remainder theorem: tiled over q, each one is
-    weighted by the residue that is 1 mod m and 0 mod q/m, and the weighted
-    sum is reduced mod q.  Every product stays below q^2, so q must pass
-    `_check_array_modulus`.
+    are joined by the Chinese remainder theorem: an int64 copy of each,
+    tiled over q, is weighted by the residue that is 1 mod m and 0 mod q/m,
+    and the weighted sum is reduced mod q and cast back.  Every product
+    stays below q^2, so q must pass `_check_array_modulus`.
     """
     factors = _factor(q)
     if len(factors) == 1:
@@ -126,14 +129,14 @@ def _inverse_table(q: int) -> np.ndarray:
     units = np.ones(q, dtype=bool)
     for p, k in factors.items():
         rest = q // p ** k
-        part = np.tile(_prime_power_inverses(p, k), rest)
+        part = np.tile(_prime_power_inverses(p, k).astype(np.int64), rest)
         units &= part != 0
         part *= rest * pow(rest, -1, p ** k)
         part %= q
         inv += part
     inv %= q
     inv[~units] = 0
-    return inv
+    return inv.astype(np.uint32)
 
 
 def mod_inverse(n: int, q: int) -> int:
@@ -212,9 +215,9 @@ def _curve_points(q: int, h: int, centered: bool) -> CurvePointSet:
     lo = -J if centered else 0
     y = np.arange(lo, lo + q, dtype=np.int64)
     shifted = inv[y % q]
-    x = inv[(shifted - h) % q]
+    x = inv[np.subtract(shifted, h, dtype=np.int64) % q]
     keep = (shifted != 0) & (x != 0)
-    x, y = x[keep], y[keep]
+    x, y = x[keep].astype(np.int64), y[keep]
     if centered:
         x[x > J] -= q
     return CurvePointSet(q=q, h=h, centered=centered, x=x, y=y)

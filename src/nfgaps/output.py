@@ -102,11 +102,12 @@ def _cells(column: np.ndarray, term: int) -> tuple[np.ndarray, np.ndarray]:
     key = 18 * (x + 4) + s
     keep, end = _tables()[1][2 * key + neg], _tables()[2][key]
     slow = np.flatnonzero(~fast)                    # one `%.17g` per distinct bit pattern
-    bits, which = np.unique(column[slow].view(np.uint64), return_inverse=True)
-    texts = [b"%.17g" % v if v == v else b"" for v in bits.view(np.float64).tolist()]
-    size = np.array(list(map(len, texts)), np.int64)[which]     # 0 for NaN, the empty cell
-    chars[slow] = np.array(texts, f"S{_FLOAT}").view(np.uint8).reshape(-1, _FLOAT)[which]
-    keep[slow], end[slow] = np.arange(_FLOAT) <= size[:, None], size
+    if slow.size:
+        bits, which = np.unique(column[slow].view(np.uint64), return_inverse=True)
+        texts = [b"%.17g" % v if v == v else b"" for v in bits.view(np.float64).tolist()]
+        size = np.array(list(map(len, texts)), np.int64)[which]  # 0 for NaN, the empty cell
+        chars[slow] = np.array(texts, f"S{_FLOAT}").view(np.uint8).reshape(-1, _FLOAT)[which]
+        keep[slow], end[slow] = np.arange(_FLOAT) <= size[:, None], size
     chars[rows, end] = term
     return chars, keep
 

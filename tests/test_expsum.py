@@ -321,28 +321,42 @@ class TestGraph:
                                       *([f(x) for x in range(p) if x not in poles]
                                         for f in funcs)]
 
-    def test_value_tables_built_once(self, monkeypatch):
+    def test_rows_past_uint32_products(self):
+        # at p > 2^16, K (x + s)^-1 passes 2^32, so a product left in uint32 wraps
+        p = 100003
+        tup = FracLinearTuple(p=p, funcs=(FracLinear(p=p, a=99991, b=77777, c=12345, e=65537),
+                                          FracLinear(p=p, a=3, b=p - 2, c=p - 5, e=p - 1),
+                                          *neighbor_flip_tuple(p, 65537, 1).funcs))
+        xs = [x for x in {0, 1, p - 1, _LEAF - 1, _LEAF, _LEAF + 1,
+                          *(q + i for q in tup.poles for i in (-1, 1)),
+                          *RNG.integers(0, p, 300).tolist()} if x % p not in tup.poles]
+        columns = tup.graph[:, np.searchsorted(tup.graph[0], [x % p for x in xs])]
+        assert columns.tolist() == [[x % p for x in xs], *([f(x) for x in xs] for f in tup.funcs)]
+        for f in tup.funcs:
+            table = f.value_table()
+            assert table.dtype == np.int64 and table[f.pole] == -1
+            assert table[[x % p for x in xs]].tolist() == [f(x) for x in xs]
+
+    def test_graph_builds_no_value_table(self, monkeypatch):
         calls = []
         table = FracLinear.value_table
         monkeypatch.setattr(FracLinear, "value_table",
                             lambda self: calls.append(self) or table(self))
-        tup = neighbor_flip_tuple(101, 1, 2)
+        tup = neighbor_flip_tuple(101, 1, 2)   # the 4 maps are translates of one map
         complete_sum(tup, 1, [2, 3, 5, 7])
         box_count(tup, BoxSpec(x_window=Interval(0, 100),
                                value_windows=(Interval(0, 50),) * tup.d))
-        assert len(calls) == 1                 # the 4 maps are translates of one map
-        calls.clear()
         # k / (x + k) for k = 1, 2, 3: no two are translates
         tup = FracLinearTuple(p=101, funcs=tuple(FracLinear(p=101, a=k, b=0, c=k, e=1)
                                                  for k in (1, 2, 3)))
         complete_sum(tup, 1, [2, 3, 5])
-        assert len(calls) == tup.d
+        assert calls == []                     # every row is read off the inverse table
 
     @staticmethod
     def check_translates(f, shifts, scales, others):
         """Maps g(x) = f(x + t), each written with its own scaling k, plus other
         maps (a, b, c, e) whose pole is free: the graph matches them pointwise
-        and builds at most one value table for all the translates."""
+        and builds no value table."""
         p = f.p
         funcs = [FracLinear(p=p, a=k * (f.a + f.b * t), b=k * f.b, c=k * (f.c + f.e * t),
                             e=k * f.e) for t, k in zip(shifts, scales)]
@@ -352,7 +366,7 @@ class TestGraph:
         original, calls = FracLinear.value_table, []
         with patch.object(FracLinear, "value_table", lambda g: calls.append(g) or original(g)):
             graph = FracLinearTuple(p=p, funcs=tuple(funcs)).graph
-        assert len(calls) <= 1 + len(funcs) - len(shifts)
+        assert calls == []
         keep = [x for x in range(p) if x not in {g.pole for g in funcs}]
         assert graph.tolist() == [keep, *([g(x) for x in keep] for g in funcs)]
         for g, t in zip(funcs, shifts):
@@ -490,8 +504,9 @@ class TestPhaseSum:
         assert peak < 8 << 20
 
     def test_graph_build_memory(self):
-        # the uint32 graph is 19.1 MiB and one int64 value table 7.6 MiB;
-        # an int64 graph traces 45.8 MiB
+        # the uint32 graph is 19.1 MiB, filled through one _LEAF-column int64
+        # buffer; a full-length int64 value table would add 7.6 MiB and an
+        # int64 graph traces 45.8 MiB
         tup = neighbor_flip_tuple(1000003, 1, 2)
         inverse_table(tup.p)                       # built outside the traced graph
         tracemalloc.start()
@@ -500,7 +515,7 @@ class TestPhaseSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 << 20
+        assert peak < 22 << 20
 
     def test_window_memory(self):
         # 500,000-column windows read the graph in place; searchsorted keys of

@@ -114,6 +114,21 @@ class TestBuildCurve:
             want = sorted(brute_force_curve(q, h % q, centered), key=lambda p: p[1])
             assert list(build(q, h).points) == want
 
+    @pytest.mark.parametrize("q", [3, 15, 101, 105])
+    def test_shifts_next_to_the_modulus(self, q):
+        # h = q - 1 and h = -1 reduce to the largest shift, so the table's
+        # residues minus h only stay right when widened before the subtraction
+        J = (q - 1) // 2
+        for h in (q - 1, -1, q + 1):
+            pairs = [(mod_inverse(n, q), mod_inverse(n + h, q)) for n in range(q)
+                     if math.gcd(n, q) == 1 and math.gcd(n + h, q) == 1]
+            for build, centered in ((build_curve, True), (build_nf_curve, False)):
+                ps = build(q, h)
+                assert ps.x.dtype == ps.y.dtype == np.int64
+                want = [(x - q if x > J else x, y - q if y > J else y) if centered else (x, y)
+                        for x, y in pairs]
+                assert list(ps.points) == sorted(want, key=lambda pt: pt[1])
+
     def test_value_equality(self):
         ps = build_curve(101, 3)
         assert ps == build_curve(101, 3 + 101) and hash(ps) == hash(build_curve(101, 3))
@@ -132,7 +147,8 @@ class TestInverseTable:
                                    1000667])
     def test_prime_powers_products_and_a_safe_prime(self, q):
         # 1000667 - 1 = 2 * 500333 with 500333 prime
-        assert np.array_equal(_inverse_table(q), power_table_inverses(q))
+        table = _inverse_table(q)
+        assert table.dtype == np.uint32 and np.array_equal(table, power_table_inverses(q))
 
     @pytest.mark.parametrize("p, k, g", [(3, 9, 2), (7, 1, 3), (40487, 1, 5),
                                          (40487, 2, 5 + 40487)])
