@@ -18,8 +18,9 @@ the order is fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -104,13 +105,13 @@ class AngleSequence:
 @dataclass(eq=False)
 class GapSample:
     """Consecutive angular gaps divided by the average gap, in angular order;
-    `sorted_gaps` holds the same gaps in increasing order."""
+    `sorted_gaps` holds the same gaps in increasing order, sorted on first read."""
 
     gaps: np.ndarray
-    sorted_gaps: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.sorted_gaps = np.sort(self.gaps)
+    @cached_property
+    def sorted_gaps(self) -> np.ndarray:
+        return np.sort(self.gaps)
 
     @property
     def n(self) -> int:

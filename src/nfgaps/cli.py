@@ -22,7 +22,7 @@ from .expsum import (BoxSpec, Interval, _check_windows, box_count, complete_sum,
                      incomplete_sum, neighbor_flip_tuple)
 from .limitdist import classify_region, limit_density, limit_G
 from .modcurve import CurvePointSet, build_curve, build_nf_curve
-from .omega import omega_volume, omega_volume_quadrature
+from .omega import _check_quadrature, _check_volume, omega_volume, omega_volume_quadrature
 from .output import manifest, write_csv, write_json
 
 _OUT_ENV = "NFGAPS_OUT"
@@ -233,6 +233,10 @@ def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
 def _cmd_omega(args: argparse.Namespace, out: Path) -> list[str]:
     """Rows t,lambda,D,samples,seed,estimate,std_error; quadrature rows carry
     samples=0, seed=0, std_error=0."""
+    for lam in args.lam:       # every precondition holds before the first sample or node
+        spec, _ = _check_volume(args.t, lam, args.samples, args.seed)
+        if args.quadrature:
+            _check_quadrature(spec.t)
     rows = []
     for lam in args.lam:
         est = omega_volume(args.t, lam, args.samples, args.seed, threads=args.threads)

@@ -112,20 +112,6 @@ class FracLinear:
         return (self.b * e_inv % p, (self.a * self.e - self.b * self.c) * e_inv ** 2 % p,
                 self.c * e_inv % p)
 
-    def value_table(self) -> np.ndarray:
-        """Values over x = 0..p-1; the pole slot holds -1.
-
-        The map is B + K (x + s)^-1 (`_translate_form`), so the table is one
-        gather from the uint32 inverse table, widened to int64 as it is
-        scaled, then shifted mod p.
-        """
-        p, (B, K, s) = self.p, self._translate_form()
-        vals = np.multiply(np.roll(inverse_table(p), -s), K, dtype=np.int64)  # K (x + s)^-1
-        vals += B
-        vals %= p
-        vals[self.pole] = -1
-        return vals
-
 
 @dataclass(frozen=True)
 class FracLinearTuple:
@@ -246,11 +232,7 @@ def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
 
     n = graph.shape[1]
     leaves = _sum_tree(0, n, lambda cols: [cols])
-    jobs = min(threads, len(leaves))
-    if jobs == 1:
-        sums = map(leaf, leaves)
-        return _sum_tree(0, n, lambda _: next(sums))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(leaves))) as pool:
         sums = pool.map(leaf, leaves)
         return _sum_tree(0, n, lambda _: next(sums))
 

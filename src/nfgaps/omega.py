@@ -286,6 +286,22 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     return accepted
 
 
+def _check_volume(t, lam: float, samples: int, seed: int) -> tuple[OmegaSpec, int]:
+    """The region and int seed of a Monte Carlo run once its preconditions hold."""
+    if samples < _MIN_SAMPLES:
+        raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
+    seed = int(seed)
+    if not (0 <= seed < 2 ** 64):
+        raise PreconditionError(f"seed must be a 64-bit unsigned integer (--seed); got {seed}")
+    spec = OmegaSpec(t, lam)
+    # Builds the region's windows.  Sample i draws the counters
+    # i*dims .. i*dims + dims-1, which must stay below 2**64.
+    if samples * spec.dims > 2 ** 64:
+        raise PreconditionError(f"samples times {spec.dims} coordinates exceeds 2**64 "
+                                f"(--samples); got {samples}")
+    return spec, seed
+
+
 def omega_volume(t, lam: float, samples: int, seed: int,
                  threads: int | None = None) -> VolumeEstimate:
     """Monte Carlo estimate of twice the region volume, D the interference order of t.
@@ -295,18 +311,8 @@ def omega_volume(t, lam: float, samples: int, seed: int,
     Each of at most `threads` jobs counts a stride of chunks, whatever the samples.
     Any t > 0 is supported; below t = 1/10 it is the only evaluator.
     """
-    if samples < _MIN_SAMPLES:
-        raise PreconditionError(f"samples must be >= {_MIN_SAMPLES}; got {samples}")
-    seed = int(seed)
-    if not (0 <= seed < 2 ** 64):
-        raise PreconditionError(f"seed must be a 64-bit unsigned integer (--seed); got {seed}")
-    spec = OmegaSpec(t, lam)
+    spec, seed = _check_volume(t, lam, samples, seed)    # built before the workers share it
     threads = _thread_count(threads)
-    # Builds the region before the workers share it.  Sample i draws the
-    # counters i*dims .. i*dims + dims-1, which must stay below 2**64.
-    if samples * spec.dims > 2 ** 64:
-        raise PreconditionError(f"samples times {spec.dims} coordinates exceeds 2**64 "
-                                f"(--samples); got {samples}")
     jobs = min(threads, -(-samples // _CHUNK))     # job k counts chunks k, k + jobs, ...
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         accepted = sum(pool.map(lambda k: sum(
@@ -314,6 +320,12 @@ def omega_volume(t, lam: float, samples: int, seed: int,
             for start in range(k * _CHUNK, samples, jobs * _CHUNK)), range(jobs)))
     return VolumeEstimate(t=spec.t, lam=spec.lam, D=spec.D,
                           samples=samples, seed=seed, accepted=accepted)
+
+
+def _check_quadrature(t: float) -> None:
+    """Raises unless t is finite and at least the quadrature floor."""
+    if not _QUAD_MIN_T <= t < math.inf:
+        raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
 
 
 def omega_volume_quadrature(t: float, lam: float) -> float:
@@ -329,8 +341,7 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     starts just above x = 0.
     """
     t, lam = float(t), float(lam)
-    if not _QUAD_MIN_T <= t < math.inf:
-        raise PreconditionError(f"quadrature needs finite t >= {_QUAD_MIN_T} (--t); got t={t}")
+    _check_quadrature(t)
     _, lo_ends, hi_ends = OmegaSpec(t, lam).windows
     k_all = np.concatenate([lo_ends, hi_ends, [0.0]])
     with np.errstate(invalid="ignore"):     # inf - inf: a NaN cut, dropped below

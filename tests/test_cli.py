@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nfgaps import build_curve
 from nfgaps.cli import _write_points, run
+from nfgaps.experiments import h_independence
 
 
 def read_artifacts(out_dir):
@@ -166,6 +168,30 @@ class TestOmegaCommand:
         assert "--samples" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--t", "0.05", "--lambda", "1", "--quadrature"], "--t"),
+        (["--t", "1.45", "--lambda", "1", "inf"], "--lambda"),
+    ], ids=["quadrature-below-floor", "second-lambda"])
+    def test_every_precondition_before_sampling(self, argv, flag, tmp_path, capsys,
+                                                monkeypatch):
+        def no_volume(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr("nfgaps.cli.omega_volume", no_volume)
+        assert run(["omega", *argv, "--samples", "10000", "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_region_row_cap(self, tmp_path, capsys, monkeypatch):
+        # t = 1e-6 needs about 4e6 rows, over _MAX_ROWS: refused before any window array
+        def no_windows(*args):
+            raise AssertionError("window arrays were built")
+
+        monkeypatch.setattr("nfgaps.omega._windows", no_windows)
+        assert run(["omega", "--t", "1e-6", "--lambda", "1", "--samples", "10000",
+                    "--out", str(tmp_path)]) == 2
+        assert "--t" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExpsumCommand:
     def test_sum_and_box(self, tmp_path):
@@ -244,6 +270,15 @@ class TestScanCommand:
                     "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["cells"]) == 2
+
+    def test_h_independence(self, tmp_path):
+        assert run(["scan", "--kind", "h-independence", "--q", "1009", "--h", "1", "2", "500",
+                    "--t", "2.76", "--out", str(tmp_path)]) == 0
+        cells = json.loads((tmp_path / "report.json").read_text())["cells"]
+        reports, _ = h_independence(Fraction("2.76"), 1009, [1, 2, 500])
+        assert [(cell["h"], cell["h2"]) for cell in cells] == [(1, 2), (1, 500), (2, 500)]
+        assert all({"q", "h", "h2", "t"} <= set(cell) and cell["q"] == 1009 for cell in cells)
+        assert [cell["sup_distance"] for cell in cells] == [r.sup_distance for r in reports]
 
     def test_missing_moduli(self, tmp_path):
         assert run(["scan", "--kind", "convergence", "--out", str(tmp_path)]) == 2

@@ -45,15 +45,6 @@ class TestFracLinear:
         with pytest.raises(PreconditionError):
             r(0)
 
-    def test_value_table_matches_pointwise(self):
-        r = FracLinear(p=101, a=3, b=5, c=2, e=9)
-        table = r.value_table()
-        for x in range(101):
-            if x == r.pole:
-                assert table[x] == -1
-            else:
-                assert table[x] == r(x)
-
     def test_degenerate_maps_rejected(self):
         with pytest.raises(PreconditionError):
             FracLinear(p=7, a=1, b=1, c=0, e=0)  # denominator degree 0
@@ -312,8 +303,6 @@ class TestGraph:
             f = FracLinear(p=p, a=a, b=b, c=c, e=e)
             funcs.append(f)
             poles.add(f.pole)
-            assert f.value_table().tolist() == [-1 if x == f.pole else f(x)
-                                                for x in range(p)]
         if not funcs:
             return
         tup = FracLinearTuple(p=p, funcs=tuple(funcs))
@@ -332,41 +321,18 @@ class TestGraph:
                           *RNG.integers(0, p, 300).tolist()} if x % p not in tup.poles]
         columns = tup.graph[:, np.searchsorted(tup.graph[0], [x % p for x in xs])]
         assert columns.tolist() == [[x % p for x in xs], *([f(x) for x in xs] for f in tup.funcs)]
-        for f in tup.funcs:
-            table = f.value_table()
-            assert table.dtype == np.int64 and table[f.pole] == -1
-            assert table[[x % p for x in xs]].tolist() == [f(x) for x in xs]
-
-    def test_graph_builds_no_value_table(self, monkeypatch):
-        calls = []
-        table = FracLinear.value_table
-        monkeypatch.setattr(FracLinear, "value_table",
-                            lambda self: calls.append(self) or table(self))
-        tup = neighbor_flip_tuple(101, 1, 2)   # the 4 maps are translates of one map
-        complete_sum(tup, 1, [2, 3, 5, 7])
-        box_count(tup, BoxSpec(x_window=Interval(0, 100),
-                               value_windows=(Interval(0, 50),) * tup.d))
-        # k / (x + k) for k = 1, 2, 3: no two are translates
-        tup = FracLinearTuple(p=101, funcs=tuple(FracLinear(p=101, a=k, b=0, c=k, e=1)
-                                                 for k in (1, 2, 3)))
-        complete_sum(tup, 1, [2, 3, 5])
-        assert calls == []                     # every row is read off the inverse table
 
     @staticmethod
     def check_translates(f, shifts, scales, others):
         """Maps g(x) = f(x + t), each written with its own scaling k, plus other
-        maps (a, b, c, e) whose pole is free: the graph matches them pointwise
-        and builds no value table."""
+        maps (a, b, c, e) whose pole is free: the graph matches them pointwise."""
         p = f.p
         funcs = [FracLinear(p=p, a=k * (f.a + f.b * t), b=k * f.b, c=k * (f.c + f.e * t),
                             e=k * f.e) for t, k in zip(shifts, scales)]
         for a, b, c, e in others:
             if (a * e - b * c) % p and (-c * pow(e, -1, p)) % p not in {g.pole for g in funcs}:
                 funcs.append(FracLinear(p=p, a=a, b=b, c=c, e=e))
-        original, calls = FracLinear.value_table, []
-        with patch.object(FracLinear, "value_table", lambda g: calls.append(g) or original(g)):
-            graph = FracLinearTuple(p=p, funcs=tuple(funcs)).graph
-        assert calls == []
+        graph = FracLinearTuple(p=p, funcs=tuple(funcs)).graph
         keep = [x for x in range(p) if x not in {g.pole for g in funcs}]
         assert graph.tolist() == [keep, *([g(x) for x in keep] for g in funcs)]
         for g, t in zip(funcs, shifts):
@@ -475,9 +441,12 @@ class TestPhaseSum:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for value in (lambda k: complete_sum(tup, a, b, threads=k),
-                          lambda k: incomplete_sum(tup, a, b, window, threads=k)):
+            for value in (lambda k, b=b: complete_sum(tup, a, b, threads=k),
+                          lambda k, b=b: incomplete_sum(tup, a, b, window, threads=k)):
                 assert len({value(k) for k in (1, 2, 8)}) == 1
+                for wrong in (b[:-1], b + [17]):    # zip would drop a row or a coefficient
+                    with pytest.raises(PreconditionError, match="--sum-b"):
+                        value(2, wrong)
         finally:
             sys.setswitchinterval(interval)
         phase = (a * tup.graph[0] + sum(bj * v for bj, v in zip(b, tup.graph[1:]))) % tup.p
@@ -570,6 +539,18 @@ class TestExport:
         lines = (tmp_path / "sums.csv").read_text().splitlines()
         assert lines[0] == "p,d,a,b1,b2,re,im,bound_ratio"
         assert len(lines) == 2
+        re, im, bound_ratio = (float(v) for v in lines[1].split(",")[5:])
+        assert complex(re, im) == value and bound_ratio == ratio
+
+    def test_interval_sum_rows(self, tmp_path):
+        tup = neighbor_flip_tuple(1009, 1, 1)
+        value = incomplete_sum(tup, 3, [5, 7], Interval(17, 900))
+        ratio = abs(value) / (8 * tup.d * math.sqrt(1009) * math.log(1009))
+        assert run(["expsum", "--p", "1009", "--h", "1", "--D", "1", "--sum-a", "3",
+                    "--sum-b", "5,7", "--interval", "17:900", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sums.csv").read_text().splitlines()
+        assert lines[0] == "p,d,a,b1,b2,re,im,bound_ratio" and len(lines) == 2
+        assert lines[1].startswith("1009,2,3,5,7,")
         re, im, bound_ratio = (float(v) for v in lines[1].split(",")[5:])
         assert complex(re, im) == value and bound_ratio == ratio
 
