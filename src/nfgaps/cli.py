@@ -21,7 +21,7 @@ from .experiments import (DEFAULT_GRID, LambdaGrid, composite_contrast, converge
 from .expsum import (BoxSpec, Interval, _check_windows, box_count, complete_sum,
                      incomplete_sum, neighbor_flip_tuple)
 from .limitdist import classify_region, limit_density, limit_G
-from .modcurve import CurvePointSet, build_curve, build_nf_curve
+from .modcurve import CurvePointSet, _check_union, build_curve, build_nf_curve
 from .omega import _check_quadrature, _check_volume, omega_volume, omega_volume_quadrature
 from .output import manifest, write_csv, write_json
 
@@ -121,9 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="orchestrated experiments")
     add_shared(p)
-    p.add_argument("--kind", required=True,
-                   choices=["convergence", "h-independence", "composite",
-                            "equidistribution", "exponential"])
+    p.add_argument("--kind", required=True, choices=list(_SCANS))
     p.add_argument("--t", type=_fraction, nargs="+", default=[Fraction("2.76")])
     p.add_argument("--h", type=int, nargs="+", default=[1])
     p.add_argument("--q", type=int, nargs="+", default=None,
@@ -176,7 +174,7 @@ def _cmd_curve(args: argparse.Namespace, out: Path) -> list[str]:
     if args.union:
         if args.h is not None:
             raise PreconditionError("--h takes no value with --union, which exports every shift")
-        build_nf_curve(args.q, 0)      # validates q before any directory is made
+        _check_union(args.q)           # before any table or directory is made
         union_dir = out / f"union_q{args.q}"
         union_dir.mkdir(exist_ok=True)
         for h in range(args.q):        # one shift in memory at a time
@@ -292,42 +290,42 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
     return _write_csvs(out, files)
 
 
-# The one flag each scan kind reads as a list; it reads one value of the others.
-_SCAN_LIST_FLAG = {"convergence": "q", "h-independence": "h", "composite": "q",
-                   "equidistribution": None, "exponential": "t"}
+def _equidistribution(args: argparse.Namespace, config: dict) -> tuple[list, dict]:
+    config["ks_statistic"] = equidistribution_check(args.q[0], args.h[0], args.t[0])
+    return [], {}
+
+
+# kind -> (the one flag it reads as a list, what --q names, run(args, config) -> (cells, curves))
+_SCANS = {
+    "convergence": ("q", "prime moduli",
+                    lambda a, _: convergence_scan(a.t[0], a.h[0], a.q, a.grid)),
+    "h-independence": ("h", "one prime",
+                       lambda a, _: h_independence(a.t[0], a.q[0], a.h, a.grid)),
+    "composite": ("q", "modulus range",
+                  lambda a, _: composite_contrast(a.q, a.t[0], a.h[0], a.grid)),
+    "equidistribution": (None, "one prime", _equidistribution),
+    "exponential": ("t", "one prime",
+                    lambda a, _: exponential_limit_scan(a.q[0], a.h[0], a.t, a.grid)),
+}
 
 
 def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
-    kind = args.kind
-    grid = args.grid
+    list_flag, what, scan = _SCANS[args.kind]
     config = _flags_dict(args)
     if not args.q:
-        what = {"convergence": "prime moduli", "composite": "modulus range"}.get(kind, "one prime")
-        raise PreconditionError(f"--q ({what}) is required for {kind} scans")
+        raise PreconditionError(f"--q ({what}) is required for {args.kind} scans")
     for flag in ("q", "h", "t"):
         values = getattr(args, flag)
-        if flag != _SCAN_LIST_FLAG[kind] and len(values) > 1:
+        if flag != list_flag and len(values) > 1:
             raise PreconditionError(
-                f"--{flag} takes one value for {kind} scans; got {len(values)}")
-    if kind == "convergence":
-        reports, curves = convergence_scan(args.t[0], args.h[0], args.q, grid)
-    elif kind == "h-independence":
-        reports, curves = h_independence(args.t[0], args.q[0], args.h, grid)
-    elif kind == "composite":
-        reports, curves = composite_contrast(args.q, args.t[0], args.h[0], grid)
-    elif kind == "equidistribution":
-        config["ks_statistic"] = equidistribution_check(args.q[0], args.h[0], args.t[0])
-        reports, curves = [], {}
-    else:
-        reports, curves = exponential_limit_scan(args.q[0], args.h[0], args.t, grid)
-    lams = grid.values()
+                f"--{flag} takes one value for {args.kind} scans; got {len(values)}")
+    cells, curves = scan(args, config)
+    lams = args.grid.values()
     files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], (lams, curve))
              for (q, h, t), curve in (curves.items() if args.curves else ())}
     if args.curves and len(files) < len(curves):
         raise PreconditionError("--t values must differ in their first 6 significant digits "
                                 "with --curves, which names each curve file by t")
-    cells = [{**r.config, "sup_distance": r.sup_distance, "argmax_lambda": r.argmax_lambda}
-             for r in reports]
     write_json(out / "report.json", {"config": config, "cells": cells}, indent=2)
     return ["report.json", *_write_csvs(out, files)]
 

@@ -5,8 +5,9 @@ close-in observer.
 
 Each operation reduces point sets to gap-distribution curves sampled on a
 shared lambda grid and reports sup-norm distances between curves.  The
-scans return `(reports, curves)`, where `curves` maps each computed cell
-`(q, h, t)` (t as an exact Fraction) to its empirical curve, in computation
+scans return `(cells, curves)`: the report.json cells, each a config dict
+with its `sup_distance` and `argmax_lambda`, and a map from each computed
+`(q, h, t)` (t an exact Fraction) to its empirical curve, in computation
 order.  All results are deterministic functions of their configuration.
 """
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .modcurve import build_curve, is_prime
 __all__ = [
     "LambdaGrid",
     "DEFAULT_GRID",
-    "DistanceReport",
     "empirical_gap_curve",
     "sup_distance",
     "uniform_ks_statistic",
@@ -71,17 +71,8 @@ class LambdaGrid:
 DEFAULT_GRID = LambdaGrid()
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Sup-norm distance between two gap curves on a shared grid."""
-
-    config: dict
-    sup_distance: float
-    argmax_lambda: float
-
-
 CellCurves = dict[tuple[int, int, Fraction], np.ndarray]
-ScanResult = tuple[list[DistanceReport], CellCurves]
+ScanResult = tuple[list[dict], CellCurves]
 
 
 def sup_distance(curve_a: np.ndarray, curve_b: np.ndarray,
@@ -93,9 +84,9 @@ def sup_distance(curve_a: np.ndarray, curve_b: np.ndarray,
 
 
 def _report(config: dict, curve_a: np.ndarray, curve_b: np.ndarray,
-            grid: LambdaGrid) -> DistanceReport:
+            grid: LambdaGrid) -> dict:
     dist, arg = sup_distance(curve_a, curve_b, grid.values())
-    return DistanceReport(config=config, sup_distance=dist, argmax_lambda=arg)
+    return {**config, "sup_distance": dist, "argmax_lambda": arg}
 
 
 def empirical_gap_curve(q: int, h: int, t, grid: LambdaGrid = DEFAULT_GRID) -> np.ndarray:
@@ -155,12 +146,10 @@ def h_independence(t, p: int, h_list: Sequence[int],
             raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
     t_frac = as_fraction(t)
     curves = {(p, h, t_frac): empirical_gap_curve(p, h, t_frac, grid) for h in h_list}
-    reports = []
-    for i, h1 in enumerate(h_list):
-        for h2 in h_list[i + 1:]:
-            reports.append(_report({"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
-                                   curves[p, h1, t_frac], curves[p, h2, t_frac], grid))
-    return reports, curves
+    cells = [_report({"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
+                     curves[p, h1, t_frac], curves[p, h2, t_frac], grid)
+             for i, h1 in enumerate(h_list) for h2 in h_list[i + 1:]]
+    return cells, curves
 
 
 def composite_contrast(q_values: Sequence[int], t, h: int,

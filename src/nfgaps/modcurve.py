@@ -13,14 +13,15 @@ uniformly.  Curves are built from one uint32 table of inverses mod q, read
 off the powers of a generator of the units mod each prime power of q and
 joined by the Chinese remainder theorem, in O(q) steps.  Products of two
 residues are formed in int64 and stay below q^2; q must therefore satisfy
-q^2 < 2^63, i.e. q <= 3037000499 < 2^32.  uint32 minus or times a Python
+q^2 < 2^63, i.e. q <= 3037000499 < 2^32; curves are capped lower, at
+POINTS_MAX = 2e7, so that they fit in memory.  uint32 minus or times a Python
 int stays uint32 and wraps, so every reader of the table widens it to int64
 before it subtracts or multiplies.  The scalar `mod_inverse` has no bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -56,6 +57,23 @@ def _check_array_modulus(q: int, flag: str) -> None:
             f"{flag} must be at most {ARRAY_MODULUS_MAX} so that products of two "
             f"residues fit in int64; got {q}"
         )
+
+
+# The most points a curve command holds or writes.  A curve has up to q
+# points, and `gaps` traces about 66 bytes per point: 1.3 GB at the cap.
+POINTS_MAX = 2 * 10 ** 7
+# The largest q whose union over all shifts, q files of q - 2 rows, stays
+# within POINTS_MAX rows.
+UNION_MODULUS_MAX = 1 + isqrt(POINTS_MAX + 1)
+
+
+def _check_union(q: int) -> None:
+    """Reject q before any table or file when its union over shifts is too large."""
+    _check_modulus(q)
+    if q > UNION_MODULUS_MAX:
+        raise PreconditionError(
+            f"--q must be at most {UNION_MODULUS_MAX} with --union, whose q(q - 2) rows "
+            f"stay within {POINTS_MAX}; got {q}")
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -207,7 +225,9 @@ class CurvePointSet:
 
 def _curve_points(q: int, h: int, centered: bool) -> CurvePointSet:
     _check_modulus(q)
-    _check_array_modulus(q, "--q")
+    if q > POINTS_MAX:                 # below ARRAY_MODULUS_MAX, so q^2 fits in int64
+        raise PreconditionError(f"--q must be at most {POINTS_MAX} so that the curve's "
+                                f"points fit in memory; got {q}")
     h = h % q
     J = (q - 1) // 2
     inv = _inverse_table(q)
@@ -239,7 +259,7 @@ def nf_union(q: int) -> dict[int, CurvePointSet]:
     The point sets are pairwise disjoint and their union is exactly the
     set of pairs (a, b) with both coordinates invertible mod q.
     """
-    _check_modulus(q)
+    _check_union(q)
     return {h: build_nf_curve(q, h) for h in range(q)}
 
 

@@ -154,7 +154,7 @@ class OmegaSpec:
 
     @property
     def dims(self) -> int:
-        return len(self.windows[0]) + 2          # x, y_0 and one y per window
+        return self.D + self.last + 1            # x, y_0 and one y per row j != 0
 
 
 class _SlotStream:
@@ -294,8 +294,8 @@ def _check_volume(t, lam: float, samples: int, seed: int) -> tuple[OmegaSpec, in
     if not (0 <= seed < 2 ** 64):
         raise PreconditionError(f"seed must be a 64-bit unsigned integer (--seed); got {seed}")
     spec = OmegaSpec(t, lam)
-    # Builds the region's windows.  Sample i draws the counters
-    # i*dims .. i*dims + dims-1, which must stay below 2**64.
+    # Checks lambda and the row cap without building the windows.  Sample i
+    # draws the counters i*dims .. i*dims + dims-1, which must stay below 2**64.
     if samples * spec.dims > 2 ** 64:
         raise PreconditionError(f"samples times {spec.dims} coordinates exceeds 2**64 "
                                 f"(--samples); got {samples}")

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import nfgaps.modcurve
+import nfgaps.omega
 from nfgaps import build_curve
 from nfgaps.cli import _write_points, run
 from nfgaps.experiments import h_independence
+from nfgaps.modcurve import POINTS_MAX, UNION_MODULUS_MAX
 
 
 def read_artifacts(out_dir):
@@ -38,10 +41,15 @@ class TestCurveCommand:
         assert run(["curve", "--q", "7", "--h", "0", "--raw", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "curve_q7_h0_raw.csv").exists()
 
-    def test_union(self, tmp_path):
+    def test_union(self, tmp_path, monkeypatch):
+        tables = []
+        inverse_table = nfgaps.modcurve._inverse_table
+        monkeypatch.setattr("nfgaps.modcurve._inverse_table",
+                            lambda q: tables.append(q) or inverse_table(q))
         assert run(["curve", "--q", "9", "--union", "--out", str(tmp_path)]) == 0
         files = sorted((tmp_path / "union_q9").glob("h*.csv"))
         assert len(files) == 9
+        assert tables == [9] * 9         # one curve per shift, none built to check q
 
     def test_union_memory_holds_one_shift(self, tmp_path):
         # all 1009 shifts at once trace about 16 MB
@@ -181,6 +189,16 @@ class TestOmegaCommand:
         assert run(["omega", *argv, "--samples", "10000", "--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_windows_built_once_per_evaluator_call(self, tmp_path, monkeypatch):
+        # the up-front checks count the region's coordinates without its windows
+        calls = []
+        windows = nfgaps.omega._windows
+        monkeypatch.setattr("nfgaps.omega._windows",
+                            lambda *args: calls.append(args) or windows(*args))
+        assert run(["omega", "--t", "2.76", "--lambda", "1", "0.5", "--samples", "10000",
+                    "--threads", "1", "--quadrature", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4           # two lambdas, Monte Carlo and quadrature each
+
     def test_region_row_cap(self, tmp_path, capsys, monkeypatch):
         # t = 1e-6 needs about 4e6 rows, over _MAX_ROWS: refused before any window array
         def no_windows(*args):
@@ -278,7 +296,7 @@ class TestScanCommand:
         reports, _ = h_independence(Fraction("2.76"), 1009, [1, 2, 500])
         assert [(cell["h"], cell["h2"]) for cell in cells] == [(1, 2), (1, 500), (2, 500)]
         assert all({"q", "h", "h2", "t"} <= set(cell) and cell["q"] == 1009 for cell in cells)
-        assert [cell["sup_distance"] for cell in cells] == [r.sup_distance for r in reports]
+        assert [cell["sup_distance"] for cell in cells] == [r["sup_distance"] for r in reports]
 
     def test_missing_moduli(self, tmp_path):
         assert run(["scan", "--kind", "convergence", "--out", str(tmp_path)]) == 2
@@ -428,6 +446,23 @@ class TestValidationErrors:
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--q", str(POINTS_MAX + 1), "--h", "1"],
+        ["gaps", "--q", str(POINTS_MAX + 1), "--h", "1", "--t", "3"],
+        ["curve", "--q", str(UNION_MODULUS_MAX + 2), "--union"],
+    ], ids=["curve", "gaps", "union"])
+    def test_size_caps(self, argv, tmp_path, capsys, monkeypatch):
+        # a curve past POINTS_MAX points, or a union past POINTS_MAX rows, exits 2
+        # before any table or file
+        def no_table(q):
+            raise AssertionError("an inverse table was built")
+
+        monkeypatch.setattr("nfgaps.modcurve._inverse_table", no_table)
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "--q" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestManifest:
     def test_schema_and_artifact_listing(self, tmp_path):
@@ -455,6 +490,15 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "limit_t2.76.csv" in proc.stdout
+
+    def test_runtime_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def boom(q, h):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("nfgaps.cli.build_curve", boom)
+        assert run(["curve", "--q", "7", "--h", "1", "--out", str(tmp_path)]) == 1
+        assert "failure: boom" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_flag_exits_two(self, tmp_path):
         proc = subprocess.run(

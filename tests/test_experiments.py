@@ -74,13 +74,13 @@ class TestKS:
 class TestConvergenceScan:
     def test_small_primes_report(self):
         reports, curves = convergence_scan("2.76", 1, [101, 211, 1009])
-        assert [r.config["q"] for r in reports] == [101, 211, 1009]
+        assert [r["q"] for r in reports] == [101, 211, 1009]
         assert list(curves) == [(q, 1, Fraction(69, 25)) for q in (101, 211, 1009)]
         np.testing.assert_array_equal(curves[101, 1, Fraction(69, 25)],
                                       empirical_gap_curve(101, 1, "2.76"))
-        assert all(0.0 <= r.sup_distance <= 1.0 for r in reports)
+        assert all(0.0 <= r["sup_distance"] <= 1.0 for r in reports)
         # larger primes track the limit more closely on this range
-        assert reports[-1].sup_distance < reports[0].sup_distance
+        assert reports[-1]["sup_distance"] < reports[0]["sup_distance"]
 
     def test_composite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -94,13 +94,13 @@ class TestConvergenceScan:
 class TestHIndependence:
     def test_identical_shifts_zero_distance(self):
         reports, _ = h_independence("1.5", 101, [3, 3])
-        assert reports[0].sup_distance == 0.0
+        assert reports[0]["sup_distance"] == 0.0
 
     def test_pair_count(self):
         reports, curves = h_independence("1.5", 101, [1, 2, 5])
         assert len(reports) == 3
         assert list(curves) == [(101, h, Fraction(3, 2)) for h in (1, 2, 5)]
-        assert {(r.config["h"], r.config["h2"]) for r in reports} == {(1, 2), (1, 5), (2, 5)}
+        assert {(r["h"], r["h2"]) for r in reports} == {(1, 2), (1, 5), (2, 5)}
 
     def test_zero_shift_rejected(self):
         with pytest.raises(PreconditionError):
@@ -110,13 +110,13 @@ class TestHIndependence:
 class TestCompositeContrast:
     def test_flags_primality_and_skips_even(self):
         reports, curves = composite_contrast(range(25, 32), "1.5", 2)
-        flags = {r.config["q"]: r.config["prime"] for r in reports}
+        flags = {r["q"]: r["prime"] for r in reports}
         assert flags == {25: False, 27: False, 29: True, 31: True}
         assert [q for q, _, _ in curves] == [25, 27, 29, 31]
 
     def test_empty_composite_set(self):
         reports, _ = composite_contrast([29, 31], "1.5", 2)
-        assert all(r.config["prime"] for r in reports)
+        assert all(r["prime"] for r in reports)
 
 
 class TestEquidistribution:
@@ -141,9 +141,9 @@ class TestExponentialScan:
         reports, curves = exponential_limit_scan(1009, 1, ["3", "1/2"])
         assert len(reports) == 2
         assert list(curves) == [(1009, 1, Fraction(3)), (1009, 1, Fraction(1, 2))]
-        assert reports[0].config["t"] == 3.0
+        assert reports[0]["t"] == 3.0
         # the far observer is far from the exponential law; closer is closer
-        assert reports[1].sup_distance < reports[0].sup_distance
+        assert reports[1]["sup_distance"] < reports[0]["sup_distance"]
 
     def test_observer_inside_rejected(self):
         with pytest.raises(PreconditionError):
@@ -155,8 +155,8 @@ class TestGridResolution:
         # halving the grid step moves reported distances by at most 0.005
         coarse = LambdaGrid(0.0, 4.0, 0.01)
         fine = LambdaGrid(0.0, 4.0, 0.005)
-        d_coarse = convergence_scan("2.76", 1, [1009], coarse)[0][0].sup_distance
-        d_fine = convergence_scan("2.76", 1, [1009], fine)[0][0].sup_distance
+        d_coarse = convergence_scan("2.76", 1, [1009], coarse)[0][0]["sup_distance"]
+        d_fine = convergence_scan("2.76", 1, [1009], fine)[0][0]["sup_distance"]
         assert abs(d_coarse - d_fine) <= 0.005
 
 

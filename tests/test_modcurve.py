@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from nfgaps import (PreconditionError, build_curve, build_nf_curve,
                     is_prime, mod_inverse, mod_inverse_centered, nf_union)
 from nfgaps.cli import run
-from nfgaps.modcurve import ARRAY_MODULUS_MAX, _factor, _inverse_table, _unit_generator
+from nfgaps.modcurve import (ARRAY_MODULUS_MAX, POINTS_MAX, UNION_MODULUS_MAX, _check_union,
+                             _factor, _inverse_table, _unit_generator)
 
 from conftest import brute_force_curve, power_table_inverses
 
@@ -173,12 +174,24 @@ class TestArrayModulusBound:
             raise TableBuilt
 
         monkeypatch.setattr("nfgaps.modcurve._inverse_table", no_table)
+        assert POINTS_MAX <= ARRAY_MODULUS_MAX      # the point cap keeps q^2 in int64
         with pytest.raises(TableBuilt):
-            build_curve(ARRAY_MODULUS_MAX, 1)
+            build_curve(POINTS_MAX - 1, 1)          # the largest odd q admitted
+        for q in (POINTS_MAX + 1, ARRAY_MODULUS_MAX + 2):
+            with pytest.raises(PreconditionError, match="--q"):
+                build_curve(q, 1)
+            with pytest.raises(PreconditionError, match="--q"):
+                build_nf_curve(q, 1)
+
+    def test_union_cap(self):
+        # the largest q whose q(q - 2) union rows stay within the point cap
+        q = UNION_MODULUS_MAX
+        assert q * (q - 2) <= POINTS_MAX < (q + 2) * q
+        _check_union(q)
         with pytest.raises(PreconditionError, match="--q"):
-            build_curve(ARRAY_MODULUS_MAX + 2, 1)
+            _check_union(UNION_MODULUS_MAX + 2)
         with pytest.raises(PreconditionError, match="--q"):
-            build_nf_curve(ARRAY_MODULUS_MAX + 2, 1)
+            nf_union(UNION_MODULUS_MAX + 2)
 
 
 class TestNFCurve:
