@@ -268,7 +268,6 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
         if len(b) != tup.d:
             raise PreconditionError(f"need {tup.d} coefficients b (--sum-b); got {len(b)}")
     _check_windows(tup.p, *filter(None, [args.interval, *(args.box or ())]))
-    tup.graph                    # built here, outside the traced sum and box
     files = {}
     if args.sum_b is not None:
         a = args.sum_a or 0
@@ -284,7 +283,7 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
                                       abs(value) / bound)]
     if args.box is not None:
         spec = BoxSpec(x_window=args.box[0], value_windows=tuple(args.box[1:]))
-        r = box_count(tup, spec)
+        r = box_count(tup, spec, args.threads)
         files["boxes.csv"] = (["p", "d", "count", "main_term", "normalized_error"],
                               [(r.p, r.d, r.count, r.main_term, r.normalized_error)])
     return _write_csvs(out, files)
@@ -319,13 +318,14 @@ def _cmd_scan(args: argparse.Namespace, out: Path) -> list[str]:
         if flag != list_flag and len(values) > 1:
             raise PreconditionError(
                 f"--{flag} takes one value for {args.kind} scans; got {len(values)}")
+    ts = set(args.t)                   # curve files are named by (q, h, t): only t can collide
+    if args.curves and len({f"{float(t):g}" for t in ts}) < len(ts):
+        raise PreconditionError("--t values must differ in their first 6 significant digits "
+                                "with --curves, which names each curve file by t")
     cells, curves = scan(args, config)
     lams = args.grid.values()
     files = {f"curve_q{q}_h{h}_t{float(t):g}.csv": (["lambda", "G_emp"], (lams, curve))
              for (q, h, t), curve in (curves.items() if args.curves else ())}
-    if args.curves and len(files) < len(curves):
-        raise PreconditionError("--t values must differ in their first 6 significant digits "
-                                "with --curves, which names each curve file by t")
     write_json(out / "report.json", {"config": config, "cells": cells}, indent=2)
     return ["report.json", *_write_csvs(out, files)]
 

@@ -6,13 +6,14 @@ r_j(x) = (a_j + b_j x) / (c_j + e_j x) over F_p with pairwise distinct
 poles.  The harness evaluates complete and incomplete additive-character
 sums exactly (poles omitted) and counts points in boxes, reporting the
 deviation from the product main term normalized by sqrt(p) log^(d+1) p.
-Every sum, box count and magnitude grid reads the tuple's graph, the
-points (x, r_1(x), ..., r_d(x)) off the poles, built once per tuple as
-uint32.  Every map is r(x) = B + K (x + s)^-1, so each row is read off the
-one cached uint32 inverse table in blocks, widened to int64 before the
-product K (x + s)^-1, which passes 2^32.  A sum builds its phase leaf by leaf
-along numpy's pairwise-summation tree, on up to `threads` workers: it holds
-O(_LEAF) memory per worker and has the bits of one numpy sum for any count.
+The tuple's graph is the points (x, r_1(x), ..., r_d(x)) off the poles.
+Every map is r(x) = B + K (x + s)^-1, so `FracLinearTuple._columns` computes
+any range of its columns, row by row, off the one cached uint32 inverse
+table, widened to int64 before the product K (x + s)^-1, which passes 2^32.
+No sum or box count holds the graph: each leaf of numpy's pairwise-summation
+tree, on up to `threads` workers, computes its own columns and folds each row
+into its phase or box mask at once.  A leaf holds O(_LEAF) memory, and a sum
+has the bits of one numpy sum for any worker count.
 
 Bound-check constants used by callers (4d for complete sums, 8d log p for
 incomplete ones, 5 for normalized box errors) are harness thresholds:
@@ -22,9 +23,10 @@ loudly.  They are not sharp analytic constants.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,9 +51,9 @@ __all__ = [
 ]
 
 
-# A neighbor-flip graph holds (2D+1)(p-2D) uint32 cells: about 400 MB at the cap.
+# The (2D+1)(p-2D) cells a sum or box computes; the uint32 graph would be 400 MB.
 _MAX_GRAPH_CELLS = 10 ** 8
-_LEAF = 1 << 16      # columns per leaf of a sum: about 2 MB of buffers per worker
+_LEAF = 1 << 16      # columns per leaf of a sum or box: about 2 MB of buffers per worker
 
 
 @lru_cache(maxsize=32)
@@ -136,27 +138,45 @@ class FracLinearTuple:
     def poles(self) -> tuple[int, ...]:
         return tuple(f.pole for f in self.funcs)
 
+    def _columns(self, inv: np.ndarray, cols: slice, scale: Sequence[int] | None = None):
+        """The graph's columns cols.start..cols.stop-1, one int64 row at a time in one
+        buffer, which the reader may overwrite until it asks for the next: row 0 is x, then
+        each map's B + K (x + s)^-1 (`_translate_form`) off the inverse table inv.  With a
+        `scale`, map j's row is instead scale_j B + (scale_j K mod p) (x + s)^-1, left
+        unreduced: at most p(p - 1) and congruent to scale_j r_j(x), all a phase needs.  The
+        sorted poles cut the columns into runs of x = column + k; a run misses each pole
+        -s, so x + s does not wrap in it and reads one contiguous slice of inv."""
+        p, lo, hi, poles = self.p, cols.start, cols.stop, sorted(self.poles)
+        ends = [0, *(q - k for k, q in enumerate(poles)), p - self.d]
+        runs = [(k, max(lo, a), min(hi, b)) for k, (a, b) in enumerate(zip(ends, ends[1:]))
+                if max(lo, a) < min(hi, b)]
+        row = np.arange(lo, hi, dtype=np.int64)
+        for k, a, b in runs:
+            row[a - lo:b - lo] += k
+        yield row
+        for f, c in zip(self.funcs, scale or [1] * self.d):
+            B, K, s = f._translate_form()
+            for k, a, b in runs:
+                start = (a + k + s) % p
+                np.multiply(inv[start:start + b - a], K * c % p, out=row[a - lo:b - lo],
+                            dtype=np.int64)
+            row += B * c % p
+            if scale is None:
+                u = row.view(np.uint64)    # row >= 0, and numpy divides uint64 by a scalar
+                u -= u // p * p            # faster than int64, either faster than %=
+            yield row
+
     @cached_property
     def graph(self) -> np.ndarray:
         """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole, in ascending
         x; read-only uint32 (every residue is below p < 2^32), shape (d+1, p-d), built once
-        per tuple.  Each map's row is B + K (x + s)^-1 (`_translate_form`), read off the
-        shared inverse table in blocks of _LEAF columns through one int64 buffer."""
-        p, poles, inv = self.p, sorted(self.poles), inverse_table(self.p)
-        forms = [f._translate_form() for f in self.funcs]
-        graph = np.empty((self.d + 1, p - self.d), dtype=np.uint32)
-        buf = np.empty(_LEAF, dtype=np.int64)
-        for k, (lo, hi) in enumerate(zip([0] + [q + 1 for q in poles], poles + [p])):
-            for x in range(lo, hi, _LEAF):     # x..x+n-1 fill columns x-k..x-k+n-1
-                n = min(_LEAF, hi - x)
-                cols, vals = slice(x - k, x - k + n), buf[:n]
-                graph[0, cols] = np.arange(x, x + n, dtype=np.uint32)
-                for row, (B, K, s) in zip(graph[1:], forms):
-                    start = (x + s) % p        # x..x+n-1 misses the pole -s: no wrap
-                    np.multiply(inv[start:start + n], K, out=vals, dtype=np.int64)
-                    vals += B
-                    vals -= vals // p * p      # vals %= p; numpy floor-divides by a scalar faster
-                    row[cols] = vals
+        per tuple from `_columns` in blocks of _LEAF columns.  Sums and box counts do not
+        read it; the magnitude grid does."""
+        graph = np.empty((self.d + 1, self.p - self.d), dtype=np.uint32)
+        for lo in range(0, graph.shape[1], _LEAF):
+            cols = slice(lo, min(lo + _LEAF, graph.shape[1]))
+            for row, values in zip(graph[:, cols], self._columns(inverse_table(self.p), cols)):
+                row[...] = values
         graph.flags.writeable = False
         return graph
 
@@ -202,39 +222,58 @@ def _sum_tree(lo: int, hi: int, leaf: Callable):
 
 def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
                threads: int | None = None) -> complex:
-    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph.
+    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph array."""
+    def rows(cols: slice, b: Sequence[int]):
+        yield graph[0, cols]
+        for bj, row in zip(b, graph[1:, cols]):
+            yield np.multiply(row, bj, dtype=np.int64)
+
+    return _column_sum(rows, len(graph) - 1, slice(0, graph.shape[1]), p, a, b, threads)
+
+
+def _column_sum(rows: Callable, d: int, cols: slice, p: int, a: int, b: Sequence[int],
+                threads: int | None) -> complex:
+    """Sum of e((a x + sum b_j r_j(x)) / p) over the graph's columns cols, where
+    rows(slice, b) gives, for those columns, x and then d rows of values at most
+    p(p - 1), congruent to b_j r_j(x) mod p.
 
     The bits are those of one np.exp(2j * np.pi * (phase / p)).sum() over all
     the columns, whose summation order this copies: numpy adds a contiguous
     complex array along a pairwise tree that depends only on its length, so
-    each leaf of that tree (`_sum_tree`) forms its own phase and sums it in
-    numpy, and the leaf sums are added in tree order (TestPhaseSum pins it).
-    Leaves run on up to `threads` workers, each holding O(_LEAF) memory; the
-    tree, so the result, does not depend on the thread count.  The phase is
-    int64 whatever the graph's integer dtype (uint32 products would wrap).
+    each leaf of that tree (`_sum_tree`) folds its rows into its own phase one
+    by one and sums it in numpy, and the leaf sums are added in tree order
+    (TestPhaseSum pins it).  Leaves run on up to `threads` workers, each
+    holding O(_LEAF) memory; the tree, so the result, does not depend on the
+    thread count.  The phase is int64 whatever the rows' integer dtype
+    (uint32 products would wrap), and no term passes p(p - 1).
     """
-    if len(b) != len(graph) - 1:
-        raise PreconditionError(f"need {len(graph) - 1} coefficients b (--sum-b); got {len(b)}")
-    threads = _thread_count(threads)
+    if len(b) != d:
+        raise PreconditionError(f"need {d} coefficients b (--sum-b); got {len(b)}")
     a, b = a % p, [bj % p for bj in b]
-    reduce_each = len(graph) * (p - 1) ** 2 >= 2 ** 63   # else d+1 terms below p^2 fit int64
+    reduce_each = (d + 1) * p * (p - 1) >= 2 ** 63   # else d+1 terms up to p(p-1) fit int64
 
-    def leaf(cols: slice) -> complex:
-        part = graph[:, cols]
-        phase = np.multiply(part[0], a, dtype=np.int64)
-        term = np.empty_like(phase)
-        for bj, values in zip(b, part[1:]):
+    def leaf_phase(part: slice) -> np.ndarray:
+        values = iter(rows(part, b))
+        phase = np.multiply(next(values), a, dtype=np.int64)
+        for row in values:
             if reduce_each:
                 phase %= p
-            phase += np.multiply(values, bj, out=term, dtype=np.int64)
-        phase %= p
-        return _unit_sum(phase, p)
+            phase += row
+        phase -= phase // p * p            # phase %= p, faster (every term is >= 0)
+        return phase
 
-    n = graph.shape[1]
-    leaves = _sum_tree(0, n, lambda cols: [cols])
-    with ThreadPoolExecutor(max_workers=min(threads, len(leaves))) as pool:
+    # The rows are freed before _unit_sum's 1 MB buffer, so a leaf peaks below 2 MB and
+    # a worker reuses its heap (else 8,000 page faults per sum at p = 2e6 on glibc)
+    return _leaf_sum(lambda part: _unit_sum(leaf_phase(part), p), cols, threads)
+
+
+def _leaf_sum(leaf: Callable, cols: slice, threads: int | None):
+    """leaf(slice) at each leaf of `_sum_tree` over cols, on up to `threads`
+    workers, added in tree order."""
+    leaves = _sum_tree(cols.start, cols.stop, lambda part: [part])
+    with ThreadPoolExecutor(max_workers=min(_thread_count(threads), len(leaves))) as pool:
         sums = pool.map(leaf, leaves)
-        return _sum_tree(0, n, lambda _: next(sums))
+        return _sum_tree(cols.start, cols.stop, lambda _: next(sums))
 
 
 def _unit_sum(phase: np.ndarray, p: int) -> complex:
@@ -248,7 +287,7 @@ def complete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
                  threads: int | None = None) -> complex:
     """Exact sum of e((a x + sum b_j r_j(x)) / p) over all non-pole x, on up
     to `threads` workers (the result does not depend on them)."""
-    return _graph_sum(tup.graph, tup.p, a, b, threads)
+    return incomplete_sum(tup, a, b, Interval(0, tup.p - 1), threads)
 
 
 @dataclass(frozen=True)
@@ -276,18 +315,19 @@ def _check_windows(p: int, *windows: Interval) -> None:
             raise PreconditionError(f"window [{w.lo}, {w.hi}] exceeds the residue range of p={p}")
 
 
-def _window_columns(graph: np.ndarray, window: Interval) -> np.ndarray:
-    """The graph's columns with x in the window, a view: the x row is ascending.
-    The keys take the row's dtype, so searchsorted does not cast a copy of it."""
-    keys = np.array([window.lo, window.hi + 1], dtype=graph.dtype)
-    return graph[:, slice(*np.searchsorted(graph[0], keys))]
+def _window_columns(tup: FracLinearTuple, window: Interval) -> slice:
+    """The graph's columns with x in the window: a non-pole x is column x minus
+    the number of poles below it."""
+    poles = sorted(tup.poles)
+    return slice(*(x - bisect_left(poles, x) for x in (window.lo, window.hi + 1)))
 
 
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
                    window: Interval, threads: int | None = None) -> complex:
     """The complete sum restricted to x in the window (poles still omitted)."""
     _check_windows(tup.p, window)
-    return _graph_sum(_window_columns(tup.graph, window), tup.p, a, b, threads)
+    return _column_sum(partial(tup._columns, inverse_table(tup.p)), tup.d,
+                       _window_columns(tup, window), tup.p, a, b, threads)
 
 
 def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
@@ -346,18 +386,25 @@ class BoxCount:
         )
 
 
-def box_count(tup: FracLinearTuple, box: BoxSpec) -> BoxCount:
-    """Count x in the x-window with every r_k(x) in its value-window."""
+def box_count(tup: FracLinearTuple, box: BoxSpec, threads: int | None = None) -> BoxCount:
+    """Count x in the x-window with every r_k(x) in its value-window, leaf by leaf
+    on up to `threads` workers."""
     p = tup.p
     if len(box.value_windows) != tup.d:
         raise PreconditionError(
             f"need {tup.d} value windows; got {len(box.value_windows)}"
         )
     _check_windows(p, box.x_window, *box.value_windows)
-    graph = _window_columns(tup.graph, box.x_window)
-    mask = np.ones(graph.shape[1], dtype=bool)
-    for values, w in zip(graph[1:], box.value_windows):
-        mask &= w.contains(values)
-    count = int(np.count_nonzero(mask))
+    rows = partial(tup._columns, inverse_table(p))
+
+    def leaf(cols: slice) -> int:
+        values = rows(cols)
+        next(values)                       # x: the window already picked the columns
+        mask = np.ones(cols.stop - cols.start, dtype=bool)
+        for row, w in zip(values, box.value_windows):
+            mask &= w.contains(row)
+        return int(np.count_nonzero(mask))
+
+    count = _leaf_sum(leaf, _window_columns(tup, box.x_window), threads)
     main = box.x_window.length * math.prod(w.length for w in box.value_windows) / p ** tup.d
     return BoxCount(p=p, d=tup.d, count=count, main_term=main)

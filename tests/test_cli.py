@@ -240,16 +240,18 @@ class TestExpsumCommand:
                     "--out", str(tmp_path)]) == 2
         assert "value windows" in capsys.readouterr().err
 
-    def test_graph_built_before_the_sum(self, tmp_path, monkeypatch):
-        # the traced sum (the self time of complete_sum) then holds no graph fill
-        from nfgaps import cli
-        seen = []
-        sum_ = cli.complete_sum
-        monkeypatch.setattr(cli, "complete_sum", lambda tup, *args: seen.append(
-            "graph" in tup.__dict__) or sum_(tup, *args))
+    def test_sum_and_box_never_build_the_graph(self, tmp_path, monkeypatch):
+        # the sum and the box compute their columns leaf by leaf off the inverse table
+        from nfgaps.expsum import FracLinearTuple
+
+        def no_graph(self):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(FracLinearTuple, "graph", property(no_graph))
+        assert run(["expsum", "--p", "101", "--D", "1", "--sum-b", "2,3", "--interval", "5:90",
+                    "--box", "0:50", "0:50", "0:50", "--out", str(tmp_path)]) == 0
         assert run(["expsum", "--p", "101", "--D", "1", "--sum-b", "2,3",
                     "--out", str(tmp_path)]) == 0
-        assert seen == [True]
 
     @pytest.mark.parametrize("argv", [
         ["--sum-b", "1,x"], ["--sum-b", "1,2,3"], ["--sum-a", "3", "--box", "0:50"] + ["0:9"] * 2,
@@ -258,12 +260,11 @@ class TestExpsumCommand:
     ], ids=["sum-b-literal", "sum-b-arity", "sum-a-without-sum", "box-arity",
             "interval-past-p", "box-window-past-p"])
     def test_failed_validation_builds_no_graph(self, argv, tmp_path, monkeypatch):
-        from nfgaps.expsum import FracLinearTuple
+        # every column of a sum or box is read off the inverse table, so no table, no column
+        def no_table(p):
+            raise AssertionError("an inverse table was built")
 
-        def no_graph(self):
-            raise AssertionError("a graph was built")
-
-        monkeypatch.setattr(FracLinearTuple, "graph", property(no_graph))
+        monkeypatch.setattr("nfgaps.expsum.inverse_table", no_table)
         assert run(["expsum", "--p", "101", "--D", "1", *argv, "--out", str(tmp_path)]) == 2
 
 
@@ -308,6 +309,18 @@ class TestScanCommand:
         assert [cell["q"] for cell in report["cells"]] == [25, 27]
         curves = sorted(path.name for path in tmp_path.glob("curve_*.csv"))
         assert curves == ["curve_q25_h2_t1.5.csv", "curve_q27_h2_t1.5.csv"]
+
+    def test_curve_names_checked_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        # 1/3 and 0.333333 both name curve_q1000003_h1_t0.333333.csv
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr("nfgaps.cli.exponential_limit_scan", no_scan)
+        out = tmp_path / "out"
+        assert run(["scan", "--kind", "exponential", "--q", "1000003", "--h", "1",
+                    "--t", "1/3", "0.333333", "--curves", "--out", str(out)]) == 2
+        assert "first 6 significant digits" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestValidationErrors:

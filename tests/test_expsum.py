@@ -14,8 +14,8 @@ from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, Precondition
                     geometric_interval_sum, geometric_sum_bound, incomplete_sum,
                     neighbor_flip_tuple)
 from nfgaps.cli import run
-from nfgaps.expsum import _LEAF, _graph_sum, _unit_sum, inverse_table
-from nfgaps.modcurve import ARRAY_MODULUS_MAX, is_prime
+from nfgaps.expsum import _LEAF, _graph_sum, _unit_sum, _window_columns, inverse_table
+from nfgaps.modcurve import ARRAY_MODULUS_MAX, _prime_power_inverses, is_prime
 
 RNG = np.random.default_rng(20240831)
 
@@ -382,6 +382,36 @@ class TestGraph:
         count = sum(all(w.lo <= v <= w.hi for v, w in zip(vs, vws)) for _, vs in points)
         assert box_count(tup, BoxSpec(x_window=xw, value_windows=vws)).count == count
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([q for q in range(7, 400) if is_prime(q)]),
+           leaf=st.integers(8, 100))
+    def test_streamed_columns_match_the_graph(self, data, p, leaf):
+        # leaves of at least 64 columns straddle the poles; window ends fall on a
+        # pole, next to one, on the first or the last column, or anywhere
+        residues = st.integers(0, p - 1)
+        tup = neighbor_flip_tuple(p, data.draw(st.integers(1, p - 1)),
+                                  data.draw(st.integers(1, 3)))
+        graph = tup.graph
+        ends = st.one_of(residues, st.sampled_from(
+            [0, p - 1, *((q + i) % p for q in tup.poles for i in (-1, 0, 1))]))
+        window = Interval(*sorted((data.draw(ends), data.draw(ends))))
+        cols = slice(*np.searchsorted(graph[0], [window.lo, window.hi + 1]))
+        assert _window_columns(tup, window) == cols
+        a, b = data.draw(residues), [data.draw(residues) for _ in range(tup.d)]
+        vws = tuple(Interval(*sorted((data.draw(residues), data.draw(residues))))
+                    for _ in range(tup.d))
+        mask = np.ones(cols.stop - cols.start, dtype=bool)
+        for row, w in zip(graph[1:, cols], vws):
+            mask &= w.contains(row)
+        complete, incomplete = _graph_sum(graph, p, a, b), _graph_sum(graph[:, cols], p, a, b)
+        with patch("nfgaps.expsum._LEAF", leaf):
+            assert np.array_equal(FracLinearTuple(p=p, funcs=tup.funcs).graph, graph)
+            for threads in (1, 2, 3):
+                assert complete_sum(tup, a, b, threads) == complete
+                assert incomplete_sum(tup, a, b, window, threads) == incomplete
+                box = box_count(tup, BoxSpec(x_window=window, value_windows=vws), threads)
+                assert box.count == np.count_nonzero(mask)
+
 
 def _largest_prime_at_most(n):
     while not is_prime(n):
@@ -461,16 +491,17 @@ class TestPhaseSum:
             assert geometric_interval_sum(p, a, Interval(lo, hi)) == _unit_sum(a % p * ys % p, p)
 
     def test_sum_memory_holds_leaves(self):
-        # one sum over all 999,999 columns at once traces about 30 MiB
+        # one sum over all 999,999 columns at once traces about 30 MiB; each leaf
+        # computes its own columns, and the graph is never built
         tup = neighbor_flip_tuple(1000003, 1, 2)
-        tup.graph                                  # built outside the traced sum
+        inverse_table(tup.p)                       # built outside the traced sum
         tracemalloc.start()
         try:
             complete_sum(tup, 3, [5, 7, 11, 13], threads=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
+        assert peak < 8 << 20 and "graph" not in tup.__dict__
 
     def test_graph_build_memory(self):
         # the uint32 graph is 19.1 MiB, filled through one _LEAF-column int64
@@ -487,15 +518,15 @@ class TestPhaseSum:
         assert peak < 22 << 20
 
     def test_window_memory(self):
-        # 500,000-column windows read the graph in place; searchsorted keys of
-        # another dtype than the x row would cast the whole row (8 MB)
+        # 500,000-column windows compute their columns leaf by leaf; one int64 row
+        # of the window is 3.8 MiB, the graph of all columns 19.1 MiB
         tup = neighbor_flip_tuple(1000003, 1, 2)
         inverse_table(tup.p)
-        tup.graph
         window = Interval(0, 499999)
         for stage in (lambda: incomplete_sum(tup, 3, [5, 7, 11, 13], window, threads=1),
                       lambda: box_count(tup, BoxSpec(x_window=window,
-                                                     value_windows=(window,) * tup.d))):
+                                                     value_windows=(window,) * tup.d),
+                                        threads=1)):
             tracemalloc.start()
             try:
                 stage()
@@ -503,6 +534,32 @@ class TestPhaseSum:
             finally:
                 tracemalloc.stop()
             assert peak < 4 << 20
+        assert "graph" not in tup.__dict__
+
+    def test_one_table_build(self):
+        # the table is fetched in the calling thread: workers on a cold cache
+        # would each build it
+        tup = neighbor_flip_tuple(300007, 1, 2)
+        inverse_table.cache_clear()
+        complete_sum(tup, 3, [5, 7, 11, 13], threads=2)
+        box_count(tup, BoxSpec(x_window=Interval(0, 300006),
+                               value_windows=(Interval(0, 150000),) * tup.d), threads=2)
+        assert inverse_table.cache_info().misses == 1
+
+    def test_cold_sum_and_box_memory(self):
+        # the 3.8 MiB table, its build and two workers' leaves; the graph alone is 19.1 MiB
+        tup = neighbor_flip_tuple(1000003, 1, 2)
+        window = Interval(0, 500000)
+        inverse_table.cache_clear()
+        tracemalloc.start()
+        try:
+            complete_sum(tup, 3, [5, 7, 11, 13], threads=2)
+            box_count(tup, BoxSpec(x_window=window, value_windows=(window,) * tup.d),
+                      threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 << 20
 
 
 class TestInverseTable:
@@ -520,6 +577,17 @@ class TestInverseTable:
         with pytest.raises(ValueError):
             inverse_table(7)[3] = 0
         assert inverse_table(7).tolist() == [0, 1, 4, 5, 2, 3, 6]
+
+    def test_build_memory(self):
+        # the 7.6 MiB table plus 2^16-exponent chunks; an array of all p - 1
+        # int64 powers would add 15.3 MiB
+        tracemalloc.start()
+        try:
+            _prime_power_inverses(2000003, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
 
     def test_int64_bound(self):
         # 3037000507 is prime and its residue products overflow int64.

@@ -10,10 +10,12 @@ blocks and the command lines given as arguments runs, in sorted order, as
 `python -m nfgaps.cli ... --out out` in a fresh temporary directory, with
 this checkout's `src` on PYTHONPATH; so a command that one checkout's README
 holds and the other is given as an argument lands in the same place.  The
-script prints each command with its exit status, then one `sha256  path`
-line per artifact.  manifest.json is hashed without its `started` line, the
-only field that differs between identical runs.  Two checkouts print the
-same text exactly when their CLI artifacts are byte for byte the same.
+script prints each command with its exit status, then each line it wrote to
+stderr (with the checkout and the temporary directory written as <root> and
+<tmp>), then one `sha256  path` line per artifact.  manifest.json is hashed
+without its `started` line, the only field that differs between identical
+runs.  Two checkouts print the same text exactly when their CLI artifacts and
+messages are byte for byte the same.
 """
 from __future__ import annotations
 
@@ -60,6 +62,8 @@ def run(command: str) -> None:
                               cwd=tmp, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True)
         print(f"# {command} -> exit {proc.returncode}")
+        for line in proc.stderr.replace(tmp, "<tmp>").replace(str(ROOT), "<root>").splitlines():
+            print(f"#   stderr: {line}")
         out = Path(tmp) / "out"
         if out.is_dir():
             for digest, name in digests(out):
