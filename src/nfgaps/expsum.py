@@ -10,10 +10,11 @@ The tuple's graph is the points (x, r_1(x), ..., r_d(x)) off the poles.
 Every map is r(x) = B + K (x + s)^-1, so `FracLinearTuple._columns` computes
 any range of its columns, row by row, off the one cached uint32 inverse
 table, widened to int64 before the product K (x + s)^-1, which passes 2^32.
-No sum or box count holds the graph: each leaf of numpy's pairwise-summation
-tree, on up to `threads` workers, computes its own columns and folds each row
-into its phase or box mask at once.  A leaf holds O(_LEAF) memory, and a sum
-has the bits of one numpy sum for any worker count.
+It is the only code that computes them, and nothing stores the graph: each
+leaf of numpy's pairwise-summation tree, on up to `threads` workers, computes
+its own columns and folds each row into its phase or box mask at once.  A
+leaf holds O(_LEAF) memory, and a sum has the bits of one numpy sum for any
+worker count.
 
 Bound-check constants used by callers (4d for complete sums, 8d log p for
 incomplete ones, 5 for normalized box errors) are harness thresholds:
@@ -26,7 +27,7 @@ import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-# The (2D+1)(p-2D) cells a sum or box computes; the uint32 graph would be 400 MB.
+# Cap on the (2D+1)(p-2D) cells of the graph, which each sum or box count computes.
 _MAX_GRAPH_CELLS = 10 ** 8
 _LEAF = 1 << 16      # columns per leaf of a sum or box: about 2 MB of buffers per worker
 
@@ -166,20 +167,6 @@ class FracLinearTuple:
                 u -= u // p * p            # faster than int64, either faster than %=
             yield row
 
-    @cached_property
-    def graph(self) -> np.ndarray:
-        """Columns (x, r_1(x), ..., r_d(x)) over the x that are no map's pole, in ascending
-        x; read-only uint32 (every residue is below p < 2^32), shape (d+1, p-d), built once
-        per tuple from `_columns` in blocks of _LEAF columns.  Sums and box counts do not
-        read it; the magnitude grid does."""
-        graph = np.empty((self.d + 1, self.p - self.d), dtype=np.uint32)
-        for lo in range(0, graph.shape[1], _LEAF):
-            cols = slice(lo, min(lo + _LEAF, graph.shape[1]))
-            for row, values in zip(graph[:, cols], self._columns(inverse_table(self.p), cols)):
-                row[...] = values
-        graph.flags.writeable = False
-        return graph
-
 
 def neighbor_flip_tuple(p: int, h: int, D: int) -> FracLinearTuple:
     """The 2D maps m -> (m+j) * (1 - h(m+j))^(-1) for row offsets j = -D+1..D.
@@ -220,51 +207,20 @@ def _sum_tree(lo: int, hi: int, leaf: Callable):
     return _sum_tree(lo, mid, leaf) + _sum_tree(mid, hi, leaf)
 
 
-def _graph_sum(graph: np.ndarray, p: int, a: int, b: Sequence[int],
-               threads: int | None = None) -> complex:
-    """Sum of e((a x + sum b_j r_j(x)) / p) over the columns of a graph array."""
-    def rows(cols: slice, b: Sequence[int]):
-        yield graph[0, cols]
-        for bj, row in zip(b, graph[1:, cols]):
-            yield np.multiply(row, bj, dtype=np.int64)
-
-    return _column_sum(rows, len(graph) - 1, slice(0, graph.shape[1]), p, a, b, threads)
-
-
-def _column_sum(rows: Callable, d: int, cols: slice, p: int, a: int, b: Sequence[int],
-                threads: int | None) -> complex:
-    """Sum of e((a x + sum b_j r_j(x)) / p) over the graph's columns cols, where
-    rows(slice, b) gives, for those columns, x and then d rows of values at most
-    p(p - 1), congruent to b_j r_j(x) mod p.
-
-    The bits are those of one np.exp(2j * np.pi * (phase / p)).sum() over all
-    the columns, whose summation order this copies: numpy adds a contiguous
-    complex array along a pairwise tree that depends only on its length, so
-    each leaf of that tree (`_sum_tree`) folds its rows into its own phase one
-    by one and sums it in numpy, and the leaf sums are added in tree order
-    (TestPhaseSum pins it).  Leaves run on up to `threads` workers, each
-    holding O(_LEAF) memory; the tree, so the result, does not depend on the
-    thread count.  The phase is int64 whatever the rows' integer dtype
-    (uint32 products would wrap), and no term passes p(p - 1).
-    """
-    if len(b) != d:
-        raise PreconditionError(f"need {d} coefficients b (--sum-b); got {len(b)}")
-    a, b = a % p, [bj % p for bj in b]
-    reduce_each = (d + 1) * p * (p - 1) >= 2 ** 63   # else d+1 terms up to p(p-1) fit int64
-
-    def leaf_phase(part: slice) -> np.ndarray:
-        values = iter(rows(part, b))
-        phase = np.multiply(next(values), a, dtype=np.int64)
-        for row in values:
-            if reduce_each:
-                phase %= p
-            phase += row
-        phase -= phase // p * p            # phase %= p, faster (every term is >= 0)
-        return phase
-
-    # The rows are freed before _unit_sum's 1 MB buffer, so a leaf peaks below 2 MB and
-    # a worker reuses its heap (else 8,000 page faults per sum at p = 2e6 on glibc)
-    return _leaf_sum(lambda part: _unit_sum(leaf_phase(part), p), cols, threads)
+def _fold_phase(rows, d: int, p: int, a: int) -> np.ndarray:
+    """a x + the d rows after x, mod p, where rows gives x and then d rows of
+    values at most p(p - 1), each congruent to b_j r_j(x) mod p.  The phase is
+    int64 and no term passes p(p - 1); near the modulus cap, where d + 1 such
+    terms pass 2^63, the phase is reduced before each row is added."""
+    reduce_each = (d + 1) * p * (p - 1) >= 2 ** 63
+    rows = iter(rows)
+    phase = np.multiply(next(rows), a % p, dtype=np.int64)
+    for row in rows:
+        if reduce_each:
+            phase %= p
+        phase += row
+    phase -= phase // p * p            # phase %= p, faster (every term is >= 0)
+    return phase
 
 
 def _leaf_sum(leaf: Callable, cols: slice, threads: int | None):
@@ -324,10 +280,26 @@ def _window_columns(tup: FracLinearTuple, window: Interval) -> slice:
 
 def incomplete_sum(tup: FracLinearTuple, a: int, b: Sequence[int],
                    window: Interval, threads: int | None = None) -> complex:
-    """The complete sum restricted to x in the window (poles still omitted)."""
-    _check_windows(tup.p, window)
-    return _column_sum(partial(tup._columns, inverse_table(tup.p)), tup.d,
-                       _window_columns(tup, window), tup.p, a, b, threads)
+    """The complete sum restricted to x in the window (poles still omitted).
+
+    The bits are those of one np.exp(2j * np.pi * (phase / p)).sum() over the
+    window's columns, whose summation order this copies: numpy adds a
+    contiguous complex array along a pairwise tree that depends only on its
+    length, so each leaf of that tree (`_sum_tree`) computes its columns,
+    folds them into its own phase (`_fold_phase`) and sums it in numpy, and
+    the leaf sums are added in tree order (TestPhaseSum pins it).  Leaves run
+    on up to `threads` workers, each holding O(_LEAF) memory; the tree, so the
+    result, does not depend on the thread count.
+    """
+    p, d = tup.p, tup.d
+    _check_windows(p, window)
+    if len(b) != d:
+        raise PreconditionError(f"need {d} coefficients b (--sum-b); got {len(b)}")
+    rows = partial(tup._columns, inverse_table(p), scale=b)
+    # The rows are freed before _unit_sum's 1 MB buffer, so a leaf peaks below 2 MB and
+    # a worker reuses its heap (else 8,000 page faults per sum at p = 2e6 on glibc)
+    return _leaf_sum(lambda part: _unit_sum(_fold_phase(rows(part), d, p, a), p),
+                     _window_columns(tup, window), threads)
 
 
 def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
@@ -342,7 +314,7 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
             f"full magnitude grid p^(d+1) = {p ** (d + 1)} is too large; sample instead"
         )
     grid = np.zeros((p,) * (d + 1))
-    grid[tuple(tup.graph)] = 1.0
+    grid[tuple(row.copy() for row in tup._columns(inverse_table(p), slice(0, p - d)))] = 1.0
     # ifftn uses e(+...) so this is S up to the overall 1/p^(d+1) factor
     return np.abs(np.fft.ifftn(grid)) * p ** (d + 1)
 
@@ -350,7 +322,9 @@ def complete_sum_magnitudes(tup: FracLinearTuple) -> np.ndarray:
 def geometric_interval_sum(p: int, a: int, window: Interval) -> complex:
     """Sum of e(a y / p) over y in the window inside [0, p-1], no pole exclusion."""
     _check_windows(p, window)
-    return _graph_sum(np.arange(window.lo, window.hi + 1, dtype=np.int64)[None], p, a, [])
+    a %= p
+    return _leaf_sum(lambda part: _unit_sum(np.arange(part.start, part.stop, dtype=np.int64)
+                                            * a % p, p), slice(window.lo, window.hi + 1), None)
 
 
 def geometric_sum_bound(p: int, a: int, length: int) -> float:

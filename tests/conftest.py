@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 from nfgaps import (DEFAULT_GRID, CurvePointSet, PreconditionError, angle_sequence,
                     build_curve, empirical_G, limit_G, normalized_gaps, thresholds)
+from nfgaps import expsum
 from nfgaps.angles import _coordinates
 from nfgaps.omega import _SlotStream
 
@@ -57,6 +58,16 @@ def power_table_inverses(q: int) -> np.ndarray:
         n = n * n % q
     inv[~units] = 0
     return inv
+
+
+def graph_columns(tup: expsum.FracLinearTuple) -> np.ndarray:
+    """A tuple's graph (x, r_1(x), ..., r_d(x)) over all p - d columns, shape
+    (d + 1, p - d): copies of the int64 rows `_columns` gives, one block of at
+    most expsum._LEAF columns at a time."""
+    inv, n = expsum.inverse_table(tup.p), tup.p - tup.d
+    return np.concatenate([np.stack([row.copy() for row in
+                                     tup._columns(inv, slice(lo, min(lo + expsum._LEAF, n)))])
+                           for lo in range(0, n, expsum._LEAF)], axis=1)
 
 
 def _piecewise_quad(f, lo: float, hi: float, cuts) -> float:

@@ -240,19 +240,6 @@ class TestExpsumCommand:
                     "--out", str(tmp_path)]) == 2
         assert "value windows" in capsys.readouterr().err
 
-    def test_sum_and_box_never_build_the_graph(self, tmp_path, monkeypatch):
-        # the sum and the box compute their columns leaf by leaf off the inverse table
-        from nfgaps.expsum import FracLinearTuple
-
-        def no_graph(self):
-            raise AssertionError("a graph was built")
-
-        monkeypatch.setattr(FracLinearTuple, "graph", property(no_graph))
-        assert run(["expsum", "--p", "101", "--D", "1", "--sum-b", "2,3", "--interval", "5:90",
-                    "--box", "0:50", "0:50", "0:50", "--out", str(tmp_path)]) == 0
-        assert run(["expsum", "--p", "101", "--D", "1", "--sum-b", "2,3",
-                    "--out", str(tmp_path)]) == 0
-
     @pytest.mark.parametrize("argv", [
         ["--sum-b", "1,x"], ["--sum-b", "1,2,3"], ["--sum-a", "3", "--box", "0:50"] + ["0:9"] * 2,
         ["--sum-b", "1,2", "--box", "0:50"], ["--sum-b", "1,2", "--interval", "0:101"],

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_columns
 from nfgaps import (BoxSpec, FracLinear, FracLinearTuple, Interval, PreconditionError,
                     box_count, complete_sum, complete_sum_magnitudes,
                     geometric_interval_sum, geometric_sum_bound, incomplete_sum,
                     neighbor_flip_tuple)
 from nfgaps.cli import run
-from nfgaps.expsum import _LEAF, _graph_sum, _unit_sum, _window_columns, inverse_table
+from nfgaps.expsum import (_LEAF, _fold_phase, _leaf_sum, _unit_sum, _window_columns,
+                           inverse_table)
 from nfgaps.modcurve import ARRAY_MODULUS_MAX, _prime_power_inverses, is_prime
 
 RNG = np.random.default_rng(20240831)
@@ -35,6 +37,11 @@ def brute_force_box_count(p, h, D, x_window, value_windows):
             if all(lo <= v <= hi for v, (lo, hi) in zip(values, value_windows)):
                 count += 1
     return count
+
+
+def graph_phase(graph, p, a, b):
+    """a x + sum b_j r_j(x) mod p over the columns of a graph array."""
+    return (a * graph[0] + sum(bj * row for bj, row in zip(b, graph[1:]))) % p
 
 
 class TestFracLinear:
@@ -71,7 +78,7 @@ class TestNeighborFlipTuple:
     def test_graph_cell_cap(self, monkeypatch):
         # (2D+1)(p-2D) = 3 * 99 cells at p = 101, D = 1
         monkeypatch.setattr("nfgaps.expsum._MAX_GRAPH_CELLS", 297)
-        assert neighbor_flip_tuple(101, 1, 1).graph.size == 297
+        assert graph_columns(neighbor_flip_tuple(101, 1, 1)).size == 297
         monkeypatch.setattr("nfgaps.expsum._MAX_GRAPH_CELLS", 296)
         with pytest.raises(PreconditionError, match="--D"):
             neighbor_flip_tuple(101, 1, 1)
@@ -185,8 +192,9 @@ class TestIncompleteSum:
                                                % p) / p) for x, vs in points)
         got = incomplete_sum(tup, a, b, window)
         assert got == pytest.approx(want, abs=1e-9)
-        masked = tup.graph[:, window.contains(tup.graph[0])]
-        assert got == _graph_sum(masked, p, a, b)     # the same columns, the same bits
+        graph = graph_columns(tup)
+        masked = graph[:, window.contains(graph[0])]
+        assert got == _unit_sum(graph_phase(masked, p, a, b), p)   # the same columns, bits
         vws = (Interval(0, 50), Interval(20, 100), Interval(0, 100), Interval(10, 90))
         count = sum(all(w.lo <= v <= w.hi for v, w in zip(vs, vws)) for _, vs in points)
         assert box_count(tup, BoxSpec(x_window=window, value_windows=vws)).count == count
@@ -280,15 +288,11 @@ class TestBoxCount:
 class TestGraph:
     def test_shape_and_columns(self):
         tup = neighbor_flip_tuple(101, 2, 2)
-        graph = tup.graph
-        assert graph.dtype == np.uint32 and graph.shape == (tup.d + 1, 101 - tup.d)
+        graph = graph_columns(tup)
+        assert graph.shape == (tup.d + 1, 101 - tup.d)
         assert list(graph[0]) == [x for x in range(101) if x not in tup.poles]
         for x, *values in graph.T.tolist():
             assert values == [f(x) for f in tup.funcs]
-
-    def test_read_only(self):
-        with pytest.raises(ValueError):
-            neighbor_flip_tuple(101, 2, 2).graph[1, 0] = 0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), p=st.sampled_from([q for q in range(3, 200) if is_prime(q)]))
@@ -306,9 +310,9 @@ class TestGraph:
         if not funcs:
             return
         tup = FracLinearTuple(p=p, funcs=tuple(funcs))
-        assert tup.graph.tolist() == [[x for x in range(p) if x not in poles],
-                                      *([f(x) for x in range(p) if x not in poles]
-                                        for f in funcs)]
+        assert graph_columns(tup).tolist() == [[x for x in range(p) if x not in poles],
+                                               *([f(x) for x in range(p) if x not in poles]
+                                                 for f in funcs)]
 
     def test_rows_past_uint32_products(self):
         # at p > 2^16, K (x + s)^-1 passes 2^32, so a product left in uint32 wraps
@@ -319,7 +323,8 @@ class TestGraph:
         xs = [x for x in {0, 1, p - 1, _LEAF - 1, _LEAF, _LEAF + 1,
                           *(q + i for q in tup.poles for i in (-1, 1)),
                           *RNG.integers(0, p, 300).tolist()} if x % p not in tup.poles]
-        columns = tup.graph[:, np.searchsorted(tup.graph[0], [x % p for x in xs])]
+        graph = graph_columns(tup)
+        columns = graph[:, np.searchsorted(graph[0], [x % p for x in xs])]
         assert columns.tolist() == [[x % p for x in xs], *([f(x) for x in xs] for f in tup.funcs)]
 
     @staticmethod
@@ -332,7 +337,7 @@ class TestGraph:
         for a, b, c, e in others:
             if (a * e - b * c) % p and (-c * pow(e, -1, p)) % p not in {g.pole for g in funcs}:
                 funcs.append(FracLinear(p=p, a=a, b=b, c=c, e=e))
-        graph = FracLinearTuple(p=p, funcs=tuple(funcs)).graph
+        graph = graph_columns(FracLinearTuple(p=p, funcs=tuple(funcs)))
         keep = [x for x in range(p) if x not in {g.pole for g in funcs}]
         assert graph.tolist() == [keep, *([g(x) for x in keep] for g in funcs)]
         for g, t in zip(funcs, shifts):
@@ -391,7 +396,7 @@ class TestGraph:
         residues = st.integers(0, p - 1)
         tup = neighbor_flip_tuple(p, data.draw(st.integers(1, p - 1)),
                                   data.draw(st.integers(1, 3)))
-        graph = tup.graph
+        graph = graph_columns(tup)
         ends = st.one_of(residues, st.sampled_from(
             [0, p - 1, *((q + i) % p for q in tup.poles for i in (-1, 0, 1))]))
         window = Interval(*sorted((data.draw(ends), data.draw(ends))))
@@ -403,9 +408,10 @@ class TestGraph:
         mask = np.ones(cols.stop - cols.start, dtype=bool)
         for row, w in zip(graph[1:, cols], vws):
             mask &= w.contains(row)
-        complete, incomplete = _graph_sum(graph, p, a, b), _graph_sum(graph[:, cols], p, a, b)
+        phase = graph_phase(graph, p, a, b)
+        complete, incomplete = _unit_sum(phase, p), _unit_sum(phase[cols], p)
         with patch("nfgaps.expsum._LEAF", leaf):
-            assert np.array_equal(FracLinearTuple(p=p, funcs=tup.funcs).graph, graph)
+            assert np.array_equal(graph_columns(tup), graph)
             for threads in (1, 2, 3):
                 assert complete_sum(tup, a, b, threads) == complete
                 assert incomplete_sum(tup, a, b, window, threads) == incomplete
@@ -424,17 +430,16 @@ class TestPhaseSum:
     @pytest.mark.parametrize("d", [1, 4])
     def test_graph_sum_matches_python_int_phase(self, p, d):
         # near the array modulus cap (d+1)(p-1)^2 passes 2^63, so each term is reduced;
-        # on a uint32 graph (the cached graph's dtype) a x and b_j r pass 2^32
+        # the rows are what _columns gives a sum: x, then (b_j mod p) r_j(x) unreduced
         rng = np.random.default_rng(p + d)
         graph = p - 1 - rng.integers(0, 1000, size=(d + 1, 500))
         graph[:, :3] = p - 1
-        for dtype in (np.int64, np.uint32):
-            graph = graph.astype(dtype)
-            for a, b in ((p - 1, [p - 1] * d), (-1, [-2] * d),
-                         (3 * p + 7, [10 ** 12 + j for j in range(d)])):
-                phase = [(a * x + sum(bj * int(v) for bj, v in zip(b, col[1:]))) % p
-                         for x, col in zip(graph[0].tolist(), graph.T)]
-                assert _graph_sum(graph, p, a, b) == _unit_sum(np.array(phase), p), dtype
+        for a, b in ((p - 1, [p - 1] * d), (-1, [-2] * d),
+                     (3 * p + 7, [10 ** 12 + j for j in range(d)])):
+            rows = [graph[0], *(bj % p * row for bj, row in zip(b, graph[1:]))]
+            phase = [(a * x + sum(bj * int(v) for bj, v in zip(b, col[1:]))) % p
+                     for x, col in zip(graph[0].tolist(), graph.T)]
+            assert _fold_phase(rows, d, p, a).tolist() == phase
 
     def test_unit_sum_bits(self):
         for p in (101, 2000003, _largest_prime_at_most(ARRAY_MODULUS_MAX)):
@@ -461,12 +466,14 @@ class TestPhaseSum:
         want = complex(np.exp(2j * np.pi * (phase / p)).sum())
         with patch("nfgaps.expsum._LEAF", leaf):
             for threads in (1, 2, 3):
-                assert _graph_sum(phase[None, :], p, 1, [], threads=threads) == want
+                assert _leaf_sum(lambda part: _unit_sum(phase[part], p), slice(0, length),
+                                 threads) == want
 
     def test_sums_do_not_depend_on_threads(self):
         # 8 workers on 5 leaves, switching threads as often as the interpreter allows
         tup = neighbor_flip_tuple(300007, 1, 2)
-        assert tup.graph.shape[1] > 4 * _LEAF
+        graph = graph_columns(tup)
+        assert graph.shape[1] > 4 * _LEAF
         a, b, window = 3, [5, 7, 11, 13], Interval(17, 300000)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -479,20 +486,30 @@ class TestPhaseSum:
                         value(2, wrong)
         finally:
             sys.setswitchinterval(interval)
-        phase = (a * tup.graph[0] + sum(bj * v for bj, v in zip(b, tup.graph[1:]))) % tup.p
-        assert complete_sum(tup, a, b, threads=2) == _unit_sum(phase, tup.p)
+        assert complete_sum(tup, a, b, threads=2) == _unit_sum(graph_phase(graph, tup.p, a, b),
+                                                               tup.p)
 
     def test_geometric_sum_bits(self):
-        # the one-row graph gives the bits of one numpy sum over the whole phase
+        # leaves making their own slices of y give the bits of one numpy sum over the phase
         p = 2000003
         for a, lo, hi in ((1, 0, p - 1), (77, 5, 1999000), (-3, 1000, 1000 + 3 * _LEAF + 13),
                           (12345, 9, 9)):
             ys = np.arange(lo, hi + 1, dtype=np.int64)
             assert geometric_interval_sum(p, a, Interval(lo, hi)) == _unit_sum(a % p * ys % p, p)
 
+    def test_geometric_sum_memory(self):
+        # each leaf makes its own slice of y; one int64 y over the window is 15.3 MiB
+        tracemalloc.start()
+        try:
+            geometric_interval_sum(2000003, 3, Interval(0, 2000002))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_sum_memory_holds_leaves(self):
         # one sum over all 999,999 columns at once traces about 30 MiB; each leaf
-        # computes its own columns, and the graph is never built
+        # computes its own columns
         tup = neighbor_flip_tuple(1000003, 1, 2)
         inverse_table(tup.p)                       # built outside the traced sum
         tracemalloc.start()
@@ -501,25 +518,11 @@ class TestPhaseSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20 and "graph" not in tup.__dict__
-
-    def test_graph_build_memory(self):
-        # the uint32 graph is 19.1 MiB, filled through one _LEAF-column int64
-        # buffer; a full-length int64 value table would add 7.6 MiB and an
-        # int64 graph traces 45.8 MiB
-        tup = neighbor_flip_tuple(1000003, 1, 2)
-        inverse_table(tup.p)                       # built outside the traced graph
-        tracemalloc.start()
-        try:
-            tup.graph
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 22 << 20
+        assert peak < 8 << 20
 
     def test_window_memory(self):
         # 500,000-column windows compute their columns leaf by leaf; one int64 row
-        # of the window is 3.8 MiB, the graph of all columns 19.1 MiB
+        # of the window is 3.8 MiB; all columns stored as uint32 would take 19.1 MiB
         tup = neighbor_flip_tuple(1000003, 1, 2)
         inverse_table(tup.p)
         window = Interval(0, 499999)
@@ -534,7 +537,6 @@ class TestPhaseSum:
             finally:
                 tracemalloc.stop()
             assert peak < 4 << 20
-        assert "graph" not in tup.__dict__
 
     def test_one_table_build(self):
         # the table is fetched in the calling thread: workers on a cold cache
@@ -547,7 +549,8 @@ class TestPhaseSum:
         assert inverse_table.cache_info().misses == 1
 
     def test_cold_sum_and_box_memory(self):
-        # the 3.8 MiB table, its build and two workers' leaves; the graph alone is 19.1 MiB
+        # the 3.8 MiB table, its build and two workers' leaves; all columns stored as
+        # uint32 would take 19.1 MiB
         tup = neighbor_flip_tuple(1000003, 1, 2)
         window = Interval(0, 500000)
         inverse_table.cache_clear()
