@@ -216,6 +216,8 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
 def _cmd_limit(args: argparse.Namespace, out: Path) -> list[str]:
     if (args.tile_t is None) != (args.tile_lambda is None):
         raise PreconditionError("--tile-t and --tile-lambda must be given together")
+    if args.tile_t is not None and not args.tile_t.lo >= 1.0:
+        raise PreconditionError(f"no closed form for t < 1 (--tile-t); got {args.tile_t.lo}")
     t = float(args.t)
     rows = [(lam, limit_G(t, lam), limit_density(t, lam), classify_region(t, lam).value)
             for lam in args.grid.values()]

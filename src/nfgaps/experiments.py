@@ -45,13 +45,18 @@ class LambdaGrid:
     lo: float = 0.0
     hi: float = 4.0
     step: float = 0.01
-    _MAX_POINTS = 10 ** 7     # not a field: a bound on every grid
+    _MAX_POINTS = 10 ** 7     # not fields: bounds on every grid
+    _MAX_HI = 1e12
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi and 0 < self.step < math.inf
+        # values() rounds to 12 decimals: a step of at least 1e-11 max(1, hi)
+        # keeps them strictly increasing, and hi <= _MAX_HI keeps them finite
+        if not (0 <= self.lo < self.hi <= self._MAX_HI
+                and 1e-11 * max(1.0, self.hi) <= self.step < math.inf
                 and (self.hi - self.lo) / self.step < self._MAX_POINTS):
             raise PreconditionError(f"invalid grid lo={self.lo}, hi={self.hi}, step={self.step}"
-                                    f" (need 0 <= lo < hi, finite, <= {self._MAX_POINTS} points)")
+                                    f" (need 0 <= lo < hi <= {self._MAX_HI:g}, step >= 1e-11 "
+                                    f"max(1, hi), <= {self._MAX_POINTS} points)")
 
     @classmethod
     def from_spec(cls, spec: str) -> "LambdaGrid":

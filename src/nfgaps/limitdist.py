@@ -179,7 +179,7 @@ def _check_domain(t: float, lam: float) -> tuple[float, float]:
     t, lam = float(t), float(lam)
     if not t >= 1.0:
         raise PreconditionError(
-            f"no closed form for t < 1 (use the omega volume estimators); got t={t}"
+            f"no closed form for t < 1 (--t; use the omega volume estimators); got t={t}"
         )
     if not 0.0 <= lam < math.inf:
         raise PreconditionError(f"lambda must be finite and nonnegative; got {lam}")

@@ -17,9 +17,11 @@ j < min(lambda, 1 + 2/t) + 2/t.
 
 Twice the Lebesgue measure of the region equals the limiting gap
 distribution value G(t, lambda).  OmegaSpec(t, lam) is a region's one
-constructor.  Its windows are written once, in _windows, in the
-division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t, which is
-exact for x > 0 and extends continuously to the slice x = 0.
+constructor, and its rows array (the offsets j != 0, ascending) is the one
+description of the region: the windows are built from it once, in
+_windows, in the division-free form (j - lambda) t <= 4 x (y_j - y_0) <= j t,
+which is exact for x > 0 and extends continuously to the slice x = 0; row j
+draws its coordinate from counter slot j + D (slot 0 carries x, slot D y_0).
 
 Monte Carlo sampling draws each sample's coordinates from a counter-based
 stream keyed by (seed, sample index, slot), so the accept count is an
@@ -102,23 +104,21 @@ def interference_order(t) -> int:
     return D - 1 if D > 1 and t > 2.0 / (D - 1) else D
 
 
-def _windows(D: int, last: int, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row j != 0 of -D+1 .. last, as arrays: its slot j + D (slot 0
-    carries x) and its window ends (j - lam) t and j t."""
-    slot = np.arange(1, D + last + 1)
-    slot = slot[slot != D]
-    j = np.subtract(slot, D, dtype=np.float64)     # exact: |j| <= _MAX_ROWS
+def _windows(rows: np.ndarray, t: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The window ends (j - lam) t and j t of each row offset j, as arrays."""
+    j = rows.astype(np.float64)             # exact: |j| <= _MAX_ROWS
     lo = j - lam
     with np.errstate(over="ignore"):        # past the float range the end is -inf
         lo *= t
     j *= t
-    return slot, lo, j
+    return lo, j
 
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """One region: float t and lambda and the interference order D of t.  Its
-    last row and window arrays are checked and built on first use, then kept."""
+    """One region: float t and lambda, the interference order D of t, and the
+    row offsets j != 0 that every other piece is read from.  The rows and
+    their window ends are checked and built on first use, then kept."""
 
     t: float
     lam: float
@@ -130,8 +130,9 @@ class OmegaSpec:
         object.__setattr__(self, "D", interference_order(self.t))
 
     @cached_property
-    def last(self) -> int:
-        """D, or for t <= 2 the last j that can cut the region; capped at _MAX_ROWS."""
+    def rows(self) -> np.ndarray:
+        """-D+1 .. D, then for t <= 2 every j < min(lambda, 1 + 2/t) + 2/t;
+        without 0, ascending, int64, capped at _MAX_ROWS."""
         if not 0.0 <= self.lam < math.inf:
             raise PreconditionError(f"lambda must be finite and nonnegative (--lambda); "
                                     f"got {self.lam}")
@@ -141,20 +142,17 @@ class OmegaSpec:
         if self.D + last > _MAX_ROWS:
             raise PreconditionError(f"t={self.t} needs {self.D + last} rows, over {_MAX_ROWS}; "
                                     "raise --t (the floor is near 4e-6)")
-        return last
+        rows = np.arange(-self.D + 1, last + 1, dtype=np.int64)
+        return rows[rows != 0]
 
     @cached_property
-    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's slot and window ends, one _windows result."""
-        return _windows(self.D, self.last, self.t, self.lam)
-
-    @property
-    def rows(self) -> range:
-        return range(-self.D + 1, self.last + 1)
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's window ends, one _windows result."""
+        return _windows(self.rows, self.t, self.lam)
 
     @property
     def dims(self) -> int:
-        return self.D + self.last + 1            # x, y_0 and one y per row j != 0
+        return self.D + max(int(self.rows[-1]), 0) + 1   # slots 0 (x) .. D (y_0) .. last row
 
 
 class _SlotStream:
@@ -230,14 +228,14 @@ def _count_chunk(spec: OmegaSpec, seed: int, start: int, count: int) -> int:
     0, its samples sorted by its key past _SORT_PASSES (module docstring).
     A block stops as soon as the rows holding 0 have rejected all of it.
     """
-    slots, lo_ends, hi_ends = spec.windows
+    lo_ends, hi_ends = spec.windows
     above, below = lo_ends > 0.0, hi_ends < 0.0
     phases = []                          # key |u_0 - origin| 4x: 1 - u_0 above 0, u_0 below
-    for rows, reach, origin in ((~(above | below), np.zeros_like(lo_ends), 0.0),
+    for mask, reach, origin in ((~(above | below), np.zeros_like(lo_ends), 0.0),
                                 (above, lo_ends, 1.0), (below, -hi_ends, 0.0)):
-        sort = np.minimum(reach[rows] / 2.0, 1.0).sum() > _SORT_PASSES
-        phases.append((slots[rows], lo_ends[rows], hi_ends[rows], origin,
-                       reach[rows].view(np.uint64) & _KEY_BITS if sort else None))
+        sort = np.minimum(reach[mask] / 2.0, 1.0).sum() > _SORT_PASSES
+        phases.append((spec.rows[mask] + spec.D, lo_ends[mask], hi_ends[mask], origin,
+                       reach[mask].view(np.uint64) & _KEY_BITS if sort else None))
     position = np.arange(_BLOCK, dtype=np.uint16)
     end = start + count
     cuts = [start, *range(start - start % _BLOCK + _BLOCK, end, _BLOCK), end]
@@ -342,7 +340,7 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     """
     t, lam = float(t), float(lam)
     _check_quadrature(t)
-    _, lo_ends, hi_ends = OmegaSpec(t, lam).windows
+    lo_ends, hi_ends = OmegaSpec(t, lam).windows
     k_all = np.concatenate([lo_ends, hi_ends, [0.0]])
     with np.errstate(invalid="ignore"):     # inf - inf: a NaN cut, dropped below
         cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0

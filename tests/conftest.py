@@ -93,18 +93,19 @@ def quad_integral_of_G(t: float) -> float:
     return val
 
 
-def region_volume_G(t: float, lam: float) -> float:
+def region_volume_G(t: float, lam: float, drop=()) -> float:
     """Twice the volume of the limit region, by nested adaptive quadrature.
 
     Given x and y_0, each other coordinate y_j only has to avoid its own
     window [y_0 + (j - lam) s, y_0 + j s] with s = t/(4x), so it contributes
     the length of what the window leaves of [-1/2, 1/2].  Every row j != 0
-    whose window can meet the cube is kept: -2/t <= j <= lam + 2/t.  The y_0
+    whose window can meet the cube is kept, -2/t <= j <= lam + 2/t, except
+    the rows in drop (a masked region: those y_j are free).  The y_0
     integrand kinks where a window end crosses a face of the cube, and the
     x integrand where two of those kinks meet, at s = 1/|k - k'| for window
     slopes k, k' in {j - lam, j} and the faces' slope 0.
     """
-    rows = [j for j in range(-int(2 / t), int(lam + 2 / t) + 1) if j != 0]
+    rows = [j for j in range(-int(2 / t), int(lam + 2 / t) + 1) if j != 0 and j not in drop]
     slopes = {0.0} | {float(k) for j in rows for k in (j - lam, j)}
 
     def over_y0(x: float) -> float:

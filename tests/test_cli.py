@@ -374,6 +374,14 @@ class TestValidationErrors:
          "--seed"),
         (["omega", "--t", "2.76", "--lambda", "1", "--samples", "10000",
           "--seed", str(2 ** 64)], "--seed"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "2.76", "--grid", "0:1e-10:1e-13"], "--grid"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "2.76", "--grid",
+          "1e15:1000000000000001:0.01"], "--grid"),
+        (["gaps", "--q", "101", "--h", "1", "--t", "2.76", "--grid", "1e299:1e300:1e299"],
+         "--grid"),
+        (["limit", "--t", "0.5"], "--t"),
+        (["limit", "--t", "2.76", "--tile-t", "0.5:2:0.5", "--tile-lambda", "0:1:0.5"],
+         "--tile-t"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
@@ -385,7 +393,9 @@ class TestValidationErrors:
             "exponential-t-float-overflow", "equidistribution-t-float-overflow",
             "expsum-interval-without-sum", "expsum-sum-a-without-sum",
             "equidistribution-one-angle", "omega-inf-lambda", "omega-inf-lambda-quadrature",
-            "sum-b-arity", "omega-negative-seed", "omega-seed-past-64-bits"])
+            "sum-b-arity", "omega-negative-seed", "omega-seed-past-64-bits",
+            "grid-step-below-rounding", "grid-step-below-spacing", "grid-overflow",
+            "limit-t-below-one", "tile-t-below-one"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"

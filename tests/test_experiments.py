@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nfgaps import (LambdaGrid, PreconditionError, composite_contrast, convergence_scan,
                     empirical_gap_curve, equidistribution_check, exponential_limit_scan,
@@ -34,6 +36,26 @@ class TestLambdaGrid:
         for spec in ("0:3", "a:b:c", "1:0:0.1", "0:1:0"):
             with pytest.raises(PreconditionError):
                 LambdaGrid.from_spec(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hi=st.floats(1e-12, 1e300), exponent=st.floats(-16.0, 0.0),
+           points=st.integers(1, 10 ** 4))
+    @example(hi=1e-10, exponent=-13.0, points=1000)      # steps below 12 decimals
+    @example(hi=1e12, exponent=-16.0, points=100)        # steps below the float spacing
+    @example(hi=1e300, exponent=-1.0, points=9)          # values past the float range
+    def test_accepted_grids_strictly_increase(self, hi, exponent, points):
+        # every accepted grid of at most 1e4 points has finite, strictly
+        # increasing rounded values; one well above the step floor and below
+        # the top bound is accepted
+        step = 10.0 ** exponent * max(1.0, hi)
+        lo = max(hi - step * points, 0.0)
+        assume(lo < hi)
+        try:
+            values = LambdaGrid(lo, hi, step).values()
+        except PreconditionError:
+            assert exponent < -10.0 or hi > 1e12
+            return
+        assert np.isfinite(values).all() and (np.diff(values) > 0).all()
 
 
 class TestSupDistance:

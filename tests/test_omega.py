@@ -75,19 +75,19 @@ class TestOmegaSpec:
 
     def test_dims(self):
         assert OmegaSpec(1.45, 0.5).dims == 5
-        assert list(OmegaSpec(1.45, 0.5).rows) == [-1, 0, 1, 2]
+        assert OmegaSpec(1.45, 0.5).rows.tolist() == [-1, 1, 2]
 
     def test_rows_past_d(self):
         # for t <= 2 row j > D stays while j < lam + 2/t: row 3 enters at
         # t = 1.45 once lam > 3 - 2/t ~ 1.62
-        assert list(OmegaSpec(1.45, 1.5).rows) == [-1, 0, 1, 2]
-        assert list(OmegaSpec(1.45, 2.0).rows) == [-1, 0, 1, 2, 3]
+        assert OmegaSpec(1.45, 1.5).rows.tolist() == [-1, 1, 2]
+        assert OmegaSpec(1.45, 2.0).rows.tolist() == [-1, 1, 2, 3]
         assert OmegaSpec(1.45, 2.0).dims == 6
-        assert list(OmegaSpec(0.5, 3.5).rows) == list(range(-4, 8))
+        assert OmegaSpec(0.5, 3.5).rows.tolist() == [j for j in range(-4, 8) if j != 0]
         # t > 2: rows past j = 1 are redundant and never added
-        assert list(OmegaSpec(2.76, 1.5).rows) == [0, 1]
+        assert OmegaSpec(2.76, 1.5).rows.tolist() == [1]
         # past lam = 1 + 2/t the region is already empty; rows stop there
-        assert OmegaSpec(1.45, 1e9).rows == OmegaSpec(1.45, 2.38).rows
+        assert OmegaSpec(1.45, 1e9).rows.tolist() == OmegaSpec(1.45, 2.38).rows.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.floats(1e-3, 3.2), lam=st.floats(0.0, 6.0))
@@ -96,7 +96,7 @@ class TestOmegaSpec:
     def test_rows_match_oracle(self, t, lam):
         # the rows omega_contains reads, written from the module docstring
         spec = OmegaSpec(t, lam)
-        assert list(spec.rows) == omega_rows(t, lam, interference_order(t))
+        assert spec.rows.tolist() == [j for j in omega_rows(t, lam, interference_order(t)) if j != 0]
 
     def test_row_cap(self, tmp_path):
         # t = 1e-8 asks for 4e8 rows; the cap refuses it before building any,
@@ -373,7 +373,7 @@ class TestVolume:
             omega_volume_quadrature(2.76, math.nan)
         for t in (2.76, 1.45):           # lambda = inf would reach the manifest as Infinity
             with pytest.raises(PreconditionError, match="--lambda"):
-                OmegaSpec(t, math.inf).last
+                OmegaSpec(t, math.inf).rows
             with pytest.raises(PreconditionError, match="--lambda"):
                 omega_volume(t, math.inf, 10 ** 5, seed=1)
         with pytest.raises(PreconditionError, match="--lambda"):
@@ -403,6 +403,20 @@ class TestQuadrature:
     @pytest.mark.parametrize("t, lam", [(0.9, 0.3), (0.7, 1.3), (0.5, 3.5), (0.1, 1.0)])
     def test_matches_region_oracle_below_one(self, t, lam):
         assert abs(omega_volume_quadrature(t, lam) - region_volume_G(t, lam)) <= 1e-12
+
+    @pytest.mark.parametrize("t, lam", [(0.45, 1.0), (1.45, 2.0), (0.3, 0.57)])
+    def test_rows_are_the_one_description(self, t, lam, monkeypatch):
+        # a region with rows 1, 2, 3 removed from OmegaSpec.rows alone: both
+        # evaluators follow it to the oracle's region with the same rows dropped
+        full = omega_volume_quadrature(t, lam)
+        unmasked = OmegaSpec.rows.func
+        monkeypatch.setattr(OmegaSpec, "rows",
+                            property(lambda spec: np.setdiff1d(unmasked(spec), (1, 2, 3))))
+        masked = omega_volume_quadrature(t, lam)
+        assert abs(masked - region_volume_G(t, lam, drop=(1, 2, 3))) <= 1e-12
+        assert abs(masked - full) > 0.1          # the mask changes the region
+        est = omega_volume(t, lam, 1 << 20, seed=42)
+        assert abs(est.estimate - masked) <= 6 * est.std_error
 
     def test_matches_monte_carlo(self):
         for t in (0.5, 1.45, 2.2, 2.76, 5.0, 22.0):
