@@ -129,6 +129,8 @@ class GapSample:
 # Unit roundoff of float64, and an absolute term that covers gradual underflow.
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1072
+# Sorted positions per pass of the ordering: its temporaries stay this small.
+_BLOCK = 1 << 13
 
 
 def _coordinates(points, J: int | None) -> tuple[np.ndarray, np.ndarray, int]:
@@ -149,18 +151,57 @@ def _coordinates(points, J: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     return xy[:, 0], xy[:, 1], J
 
 
-def _separable(key: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Element i is True when every true key at sorted positions <= i lies
-    strictly below every true key at positions > i.
+def _bounds(xs: np.ndarray, ys: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The float keys of points (xs, ys) and their rounding bounds, as
+    `angle_sequence` defines them, formed in place: key 0 and bound inf
+    where the key is not trusted.  A finite bound implies a finite key."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = xs + T
+        y = ys.astype(np.float64)           # exact: |y| <= 2^53
+        key = y / d
+        err = np.abs(y, out=y)
+        err /= d
+        scale = np.divide(T, d)
+        scale += 1
+        err *= scale
+        err += np.abs(key, out=scale)
+        err *= 8 * _U
+        err += _TINY
+        untrusted = np.multiply(d, 1 - 4 * _U, out=d) < 4 * _U * T
+    untrusted |= ~np.isfinite(err)
+    np.copyto(key, 0.0, where=untrusted)
+    np.copyto(err, np.inf, where=untrusted)
+    return key, err
 
-    Each true key lies in [key - err, key + err]; the test compares the
-    running maximum of the upper ends with the running minimum of the lower
-    ends from the right, so it holds for bounds of any size.
+
+def _separable(bounds, n: int, lower: np.ndarray) -> np.ndarray:
+    """Element i of the n - 1 results is True when every true key at sorted
+    positions <= i lies strictly below every true key at positions > i.
+
+    `bounds(s, e)` gives fresh arrays (key, err) of sorted positions s..e-1,
+    and each true key lies in [key - err, key + err].  Block by block of
+    _BLOCK positions, the running minimum of the lower ends from the right
+    goes into `lower` (n floats), and the running maximum of the upper ends
+    from the left is compared with it; each running bound is carried across
+    blocks, so the test holds for bounds of any size.
     """
-    upper, lower = key + err, key - err
-    np.maximum.accumulate(upper, out=upper)
-    np.minimum.accumulate(lower[::-1], out=lower[::-1])
-    return upper[:-1] < lower[1:]
+    low = np.inf
+    for s in reversed(range(0, n, _BLOCK)):
+        key, err = bounds(s, min(s + _BLOCK, n))
+        np.subtract(key, err, out=key)
+        np.minimum.accumulate(key[::-1], out=key[::-1])
+        np.minimum(key, low, out=lower[s:s + len(key)])
+        low = lower[s]
+    separable = np.empty(n - 1, dtype=bool)
+    high = -np.inf
+    for s in range(0, n - 1, _BLOCK):
+        key, err = bounds(s, min(s + _BLOCK, n - 1))
+        np.add(key, err, out=key)
+        np.maximum.accumulate(key, out=key)
+        np.maximum(key, high, out=key)
+        high = key[-1]
+        np.less(key, lower[s + 1:s + 1 + len(key)], out=separable[s:s + len(key)])
+    return separable
 
 
 def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
@@ -188,14 +229,22 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     forms T + d, which overflows once T passes about 9e307.  Integer
     coordinates of magnitude at most 2^53 convert to float exactly.  A key
     that fails the trust test, or whose k or err is not finite, gets an
-    infinite bound, which puts every point in one stretch.  Between two
+    infinite bound, which puts every point in one stretch, wherever the
+    argsort placed that key (even a NaN one).  Between two
     adjacent sorted positions the order is certain when all keys on the
     left, widened by their bounds, stay below all widened keys on the
     right; each maximal stretch without such a cut is re-sorted exactly by
     (y/(b*x + a*J^2), input index).
+
+    Besides the points and `order`, one float array is held: the keys, then
+    the running lower ends of `_separable`, then the angles.  After the
+    argsort, keys and bounds are recomputed, _BLOCK sorted positions at a
+    time, from `order` by the same float operations, so every pass sees the
+    same bits.
     """
     xs, ys, J = _coordinates(points, J)
-    if len(xs) == 0:
+    n = len(xs)
+    if n == 0:
         raise PreconditionError("point set is empty")
     t_frac = as_fraction(t)
     frame = ObserverFrame(t=t_frac, J=J)
@@ -206,41 +255,45 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     except OverflowError:
         raise PreconditionError(f"t*J^2 overflows a float at J={J} (--t)") from None
 
+    buf = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = xs + T
-        key = ys / d
-        err = 8 * _U * (np.abs(key) + np.abs(ys) / d * (T / d + 1)) + _TINY
-    untrusted = ~((4 * _U * T <= (1 - 4 * _U) * d) & np.isfinite(key) & np.isfinite(err))
-    np.copyto(key, 0.0, where=untrusted)
-    np.copyto(err, np.inf, where=untrusted)
+        np.divide(ys, np.add(xs, T, out=buf), out=buf)
+    order = np.argsort(buf, kind="stable")
 
-    order = np.argsort(key, kind="stable")
-    key, err = key[order], err[order]
+    def sorted_bounds(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+        idx = order[s:e]
+        return _bounds(xs[idx], ys[idx], T)
+
     # joined[k] = i: sorted positions i and i + 1 belong to one stretch.
-    joined = np.flatnonzero(~_separable(key, err))
-    del key, err
+    joined = np.flatnonzero(~_separable(sorted_bounds, n, buf))
     if len(joined):
         starts = joined[np.r_[True, np.diff(joined) > 1]]
         ends = joined[np.r_[np.diff(joined) > 1, True]] + 2
-        x_list, y_list = xs.tolist(), ys.tolist()
         for s, e in zip(starts.tolist(), ends.tolist()):
-            order[s:e] = sorted(order[s:e].tolist(),
-                                key=lambda i: (Fraction(y_list[i], b * x_list[i] + aJ2), i))
-    angles = np.arctan2(ys[order], d[order])
-    return AngleSequence(angles=angles, order=order, frame=frame)
+            idx = order[s:e]
+            stretch = zip(xs[idx].tolist(), ys[idx].tolist(), idx.tolist())
+            order[s:e] = [i for _, i in sorted((Fraction(y, b * x + aJ2), i)
+                                               for x, y, i in stretch)]
+    with np.errstate(over="ignore"):
+        for s in range(0, n, _BLOCK):
+            idx = order[s:s + _BLOCK]
+            np.arctan2(ys[idx], xs[idx] + T, out=buf[s:s + len(idx)])
+    return AngleSequence(angles=buf, order=order, frame=frame)
 
 
 def normalized_gaps(seq: AngleSequence) -> GapSample:
-    """Consecutive angle differences divided by the average gap."""
+    """Consecutive angle differences divided by the average gap, formed in
+    one output array."""
     if seq.n < 2:
         raise PreconditionError(f"need at least 2 angles to form gaps; got {seq.n}")
     delta = seq.delta_av
     if delta <= 0.0:
         raise PreconditionError("degenerate sequence: all angles coincide")
-    gaps = np.diff(seq.angles) / delta
+    gaps = np.subtract(seq.angles[1:], seq.angles[:-1])
+    gaps /= delta
     # Exact comparison fixed the order; double rounding of tied angles can
     # still leave -1e-16-scale differences, which are genuinely zero gaps.
-    return GapSample(gaps=np.maximum(gaps, 0.0))
+    return GapSample(gaps=np.maximum(gaps, 0.0, out=gaps))
 
 
 def empirical_G(gaps: GapSample, lam):
@@ -265,7 +318,9 @@ def gap_per_point(points, t, J: int | None = None) -> tuple[np.ndarray, np.ndarr
         points = list(points)
     xs, ys, _ = _coordinates(points, J)
     seq = angle_sequence(points, t, J)
-    carried = np.empty(seq.n)
-    carried[seq.order[:-1]] = normalized_gaps(seq).gaps
-    carried[seq.order[-1]] = np.nan
+    gaps, order = normalized_gaps(seq).gaps, seq.order
+    del seq                            # the angles: the scatter holds order, gaps and carried
+    carried = np.empty(len(order))
+    carried[order[:-1]] = gaps
+    carried[order[-1]] = np.nan
     return xs, ys, carried

@@ -197,17 +197,18 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     ps = build_curve(args.q, args.h)
     seq = angle_sequence(ps, args.t)
     gaps = normalized_gaps(seq)
+    summary = {"q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
+               "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max,
+               "delta_av": seq.delta_av}
+    del seq                            # the angles: G sorts a copy of the gaps
     grid_values = args.grid.values()
     base = f"gaps_q{args.q}_h{args.h}"
     write_csv(out / f"{base}.csv", ["lambda", "G_emp"],
               (grid_values, empirical_G(gaps, grid_values)))
-    write_json(out / f"{base}.json", {
-        "q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
-        "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max, "delta_av": seq.delta_av,
-    })
+    write_json(out / f"{base}.json", summary)
     artifacts = [f"{base}.csv", f"{base}.json"]
     if args.per_point:
-        del seq, gaps                  # the per-point stage orders the curve again
+        del gaps                       # the per-point stage orders the curve again
         write_csv(out / f"{base}_points.csv", ["x", "y", "gap"], gap_per_point(ps, args.t))
         artifacts.append(f"{base}_points.csv")
     return artifacts

@@ -60,7 +60,7 @@ def _check_array_modulus(q: int, flag: str) -> None:
 
 
 # The most points a curve command holds or writes.  A curve has up to q
-# points, and `gaps` traces about 66 bytes per point: 1.3 GB at the cap.
+# points, and `gaps` traces about 40 bytes per point: 0.8 GB at the cap.
 POINTS_MAX = 2 * 10 ** 7
 # The largest q whose union over all shifts, q files of q - 2 rows, stays
 # within POINTS_MAX rows.
@@ -145,26 +145,38 @@ def _inverse_table(q: int) -> np.ndarray:
 
     Each prime power m of q gets its own table (`_prime_power_inverses`);
     a table of one prime power is returned as it is.  Otherwise the tables
-    are joined by the Chinese remainder theorem: an int64 copy of each,
-    tiled over q, is weighted by the residue that is 1 mod m and 0 mod q/m,
-    and the weighted sum is reduced mod q and cast back.  Every product
-    stays below q^2, so q must pass `_check_array_modulus`.
+    are joined by the Chinese remainder theorem, 2^16 residues n at a time:
+    each table, tiled until it reaches one chunk past m, gives the inverses
+    mod m of a chunk as one slice; widened to int64, they are weighted by the
+    residue that is 1 mod m and 0 mod q/m, and the weighted sum is reduced
+    mod q.  Every product stays below q^2, so q must pass
+    `_check_array_modulus`.
     """
     factors = _factor(q)
     if len(factors) == 1:
         return _prime_power_inverses(*factors.popitem())
-    inv = np.zeros(q, dtype=np.int64)
-    units = np.ones(q, dtype=bool)
+    chunk = min(q, 1 << 16)
+    parts = []
     for p, k in factors.items():
-        rest = q // p ** k
-        part = np.tile(_prime_power_inverses(p, k).astype(np.int64), rest)
-        units &= part != 0
-        part *= rest * pow(rest, -1, p ** k)
-        part %= q
-        inv += part
-    inv %= q
-    inv[~units] = 0
-    return inv.astype(np.uint32)
+        m = p ** k
+        rest = q // m
+        table = np.tile(_prime_power_inverses(p, k), -(-(m + chunk) // m))
+        parts.append((table, m, rest * pow(rest, -1, m)))
+    inv = np.empty(q, dtype=np.uint32)
+    for c in range(0, q, chunk):
+        w = min(chunk, q - c)
+        total = np.zeros(w, dtype=np.int64)
+        units = np.ones(w, dtype=bool)
+        for table, m, weight in parts:
+            part = table[c % m:c % m + w].astype(np.int64)
+            units &= part != 0
+            part *= weight
+            part %= q
+            total += part
+        total %= q
+        total[~units] = 0
+        inv[c:c + w] = total
+    return inv
 
 
 def mod_inverse(n: int, q: int) -> int:
@@ -241,15 +253,20 @@ def _curve_points(q: int, h: int, centered: bool) -> CurvePointSet:
     h = h % q
     J = (q - 1) // 2
     inv = _inverse_table(q)
-    # Walk the second coordinate upwards: y = inv(n + h), so n + h = inv(y).
+    # Walk the second coordinate upwards from lo: position i holds y = lo + i,
+    # n + h = inv(y) (0 at a non-unit y) and x = inv(n), read through the table
+    # rolled by h, whose entry m is inv(m - h).
     lo = -J if centered else 0
-    y = np.arange(lo, lo + q, dtype=np.int64)
-    shifted = inv[y % q]
-    x = inv[np.subtract(shifted, h, dtype=np.int64) % q]
-    keep = (shifted != 0) & (x != 0)
-    x, y = x[keep].astype(np.int64), y[keep]
+    shifted = np.roll(inv, -lo)
+    x = np.roll(inv, h)[shifted]
+    keep = shifted != 0
+    keep &= x != 0
+    del inv, shifted                   # 4 bytes a residue each, before y and x widen
+    y = np.flatnonzero(keep)
+    y += lo
+    x = x[keep].astype(np.int64)
     if centered:
-        x[x > J] -= q
+        np.subtract(x, q, out=x, where=x > J)
     return CurvePointSet(q=q, h=h, centered=centered, x=x, y=y)
 
 

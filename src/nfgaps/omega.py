@@ -79,7 +79,6 @@ _MAX_ROWS = 10 ** 6  # three numbers per row: about 24 MB of window arrays at th
 _SORT_PASSES = 5.0   # sorting a block costs about as much as this many row passes
 _KEY_BITS = np.uint64(2 ** 64 - 2 ** 16)  # a sort key's bits above a sample's position
 assert _BLOCK <= 1 << 16                  # a block's positions fit the low 16 bits
-_X_NODES = np.polynomial.legendre.leggauss(24)   # per x piece, in log x
 
 # splitmix64 constants: golden-ratio increment and the Stafford mix13 finalizer
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -345,7 +344,8 @@ def omega_volume_quadrature(t: float, lam: float) -> float:
     with np.errstate(invalid="ignore"):     # inf - inf: a NaN cut, dropped below
         cuts = np.abs(k_all[:, None] - k_all).ravel() / 4.0
     edges = np.unique(np.concatenate([[0.0, 0.5], cuts[(cuts > 0.0) & (cuts < 0.5)]]))
-    xs, xw = 0.5 + 0.5 * _X_NODES[0], 0.5 * _X_NODES[1]      # on (0, 1)
+    xs, xw = np.polynomial.legendre.leggauss(24)             # per x piece, in log x
+    xs, xw = 0.5 + 0.5 * xs, 0.5 * xw                        # on (0, 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         # No window end crosses a cube face inside (a, b): which windows cover

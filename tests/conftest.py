@@ -65,9 +65,11 @@ def graph_columns(tup: expsum.FracLinearTuple) -> np.ndarray:
     (d + 1, p - d): copies of the int64 rows `_columns` gives, one block of at
     most expsum._LEAF columns at a time."""
     inv, n = expsum.inverse_table(tup.p), tup.p - tup.d
-    return np.concatenate([np.stack([row.copy() for row in
-                                     tup._columns(inv, slice(lo, min(lo + expsum._LEAF, n)))])
-                           for lo in range(0, n, expsum._LEAF)], axis=1)
+    blocks = [np.stack([row.copy() for row in
+                        tup._columns(inv, slice(lo, min(lo + expsum._LEAF, n)))])
+              for lo in range(0, n, expsum._LEAF)]
+    # d = p poles leave no column at all
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((tup.d + 1, 0), np.int64)
 
 
 def _piecewise_quad(f, lo: float, hi: float, cuts) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
                     angle_sequence, build_curve, empirical_G, gap_per_point,
                     normalized_gaps)
+from nfgaps import angles
 from nfgaps.angles import _separable
 from nfgaps.output import write_csv
 
@@ -144,19 +145,27 @@ class TestFloatFilteredOrder:
     @given(cells=st.lists(st.tuples(st.floats(-1e300, 1e300),
                                     st.one_of(st.floats(0.0, 1e300), st.just(math.inf))),
                           min_size=1, max_size=40),
-           ascending=st.booleans())
-    def test_separable_matches_out_of_place_reference(self, cells, ascending):
-        # the in-place running bounds against the expression they replaced
+           ascending=st.booleans(), block=st.sampled_from([1, 2, 7, angles._BLOCK]))
+    def test_separable_matches_out_of_place_reference(self, cells, ascending, block):
+        # the blocked running bounds, carried across blocks, against the
+        # whole-array expression they replaced
         if ascending:
             cells = sorted(cells)
         key = np.array([k for k, _ in cells])
         err = np.array([e for _, e in cells])
-        key_in, err_in = key.copy(), err.copy()
         want = (np.maximum.accumulate(key + err)[:-1]
                 < np.minimum.accumulate((key - err)[::-1])[::-1][1:])
-        np.testing.assert_array_equal(_separable(key, err), want)
-        np.testing.assert_array_equal(key, key_in)
-        np.testing.assert_array_equal(err, err_in)
+        asked = []
+
+        def bounds(s, e):
+            asked.append((s, e))
+            return key[s:e].copy(), err[s:e].copy()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(angles, "_BLOCK", block)
+            got = _separable(bounds, len(key), np.empty(len(key)))
+        np.testing.assert_array_equal(got, want)
+        assert all(0 <= s < e <= min(s + block, len(key)) for s, e in asked)
 
     def test_curve_coordinates_unchanged(self):
         ps = build_curve(1009, 3)
@@ -164,6 +173,110 @@ class TestFloatFilteredOrder:
         angle_sequence(ps, Fraction("2.76"))
         np.testing.assert_array_equal(ps.x, xs)
         np.testing.assert_array_equal(ps.y, ys)
+
+
+def order_with_block(points, t, J, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(angles, "_BLOCK", block)
+        return angle_sequence(points, t, J=J)
+
+
+def joined_positions(points, t, J=None) -> int:
+    """How many adjacent sorted positions the float filter could not separate."""
+    separable, joined = angles._separable, []
+
+    def counting(*args):
+        result = separable(*args)
+        joined.append(int(np.count_nonzero(~result)))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(angles, "_separable", counting)
+        angle_sequence(points, t, J=J)
+    return joined[0]
+
+
+class TestBlockBoundaries:
+    """Orders, stretches and angles whose passes cross block boundaries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_point_sets(), st.sampled_from([1, 2, 7]))
+    def test_random_sets_match_oracle(self, case, block):
+        points, t, J = case
+        seq = order_with_block(points, t, J, block)
+        assert [points[i] for i in seq.order] == slope_order_oracle(points, t, J)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("q, h, t, joined", [(10007, 1, Fraction(3, 5003), 2),
+                                                 (10005, 1, Fraction(5003, 25020004), 5)])
+    def test_close_observer_stretches(self, q, h, t, joined, block):
+        # observers just left of the square: float keys that the filter joins
+        ps = build_curve(q, h)
+        assert joined_positions(ps, t) == joined
+        seq = order_with_block(ps, t, None, block)
+        points = ps.points
+        assert [points[i] for i in seq.order] == slope_order_oracle(points, t, ps.J)
+        whole = angle_sequence(ps, t)
+        np.testing.assert_array_equal(seq.order, whole.order)
+        assert seq.angles.tobytes() == whole.angles.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_infinite_bounds(self, block):
+        # the cases of test_observer_just_left_of_square and
+        # test_no_overflow_near_float_max, whose keys are not trusted
+        J = 1000
+        t = Fraction(1, J) + Fraction(1, 10 ** 30)
+        points = [(-J, 1), (-J, -1), (0, 5), (3, -7), (-J, 2), (J, J)]
+        seq = order_with_block(points, t, J, block)
+        assert [points[i] for i in seq.order] == slope_order_oracle(points, t, J)
+        ps = build_curve(101, 1)
+        for T in (9e307, 1e308, 1.7e308):
+            t = Fraction(T) / ps.J ** 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                seq = order_with_block(ps.points, t, ps.J, block)
+            assert ([ps.points[i] for i in seq.order]
+                    == slope_order_oracle(ps.points, t, ps.J))
+
+
+class TestMemory:
+    Q = 100003
+
+    def test_exact_resort_converts_only_the_stretches(self):
+        # t = 1/16667 joins 3 sorted positions; converting the whole curve to
+        # Python ints for them traces about 95 bytes per point
+        ps = build_curve(self.Q, 1)
+        t = Fraction(1, 16667)
+        assert joined_positions(ps, t) == 3
+        tracemalloc.start()
+        try:
+            seq = angle_sequence(ps, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * ps.count
+        points = ps.points
+        assert [points[i] for i in seq.order] == slope_order_oracle(points, t, ps.J)
+
+    def test_gaps_stages_per_point(self):
+        # the stages of `gaps --per-point` in the command's order, each dropping
+        # what the next one does not read: 66 bytes per point when every stage
+        # held whole-curve temporaries
+        t = Fraction("2.76")
+        tracemalloc.start()
+        try:
+            ps = build_curve(self.Q, 1)
+            seq = angle_sequence(ps, t)
+            gaps = normalized_gaps(seq)
+            del seq
+            empirical_G(gaps, np.linspace(0.0, 3.0, 301))
+            del gaps
+            columns = gap_per_point(ps, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns[2]) == ps.count == self.Q - 2
+        assert peak <= 44 * ps.count
 
 
 class TestObserverFrame:

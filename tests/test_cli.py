@@ -546,3 +546,14 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_numpy_polynomial_out(self):
+        # the quadrature's Gauss-Legendre nodes are computed when it runs, so
+        # a CLI start (--version included) does not import numpy.polynomial
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nfgaps.cli; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

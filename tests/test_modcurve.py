@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,22 @@ class TestInverseTable:
         # 1000667 - 1 = 2 * 500333 with 500333 prime
         table = _inverse_table(q)
         assert table.dtype == np.uint32 and np.array_equal(table, power_table_inverses(q))
+
+    def test_composite_join_memory(self):
+        # 3,000,009 = 3 * 1,000,003: joining the two prime-power tables through
+        # int64 arrays of length q traced 27.7 bytes per residue; in chunks of
+        # residues the join holds the uint32 output and the two tables
+        q = 3000009
+        tracemalloc.start()
+        try:
+            table = _inverse_table(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * q
+        n = np.arange(q, dtype=np.int64)
+        units = np.gcd(n, q) == 1
+        assert np.all(n[units] * table[units] % q == 1) and not np.any(table[~units])
 
     @pytest.mark.parametrize("p, k, g", [(3, 9, 2), (7, 1, 3), (40487, 1, 5),
                                          (40487, 2, 5 + 40487)])
