@@ -126,9 +126,9 @@ class GapSample:
         return float(self.sorted_gaps[-1])
 
 
-# Unit roundoff of float64, and an absolute term that covers gradual underflow.
+# Unit roundoff of float64, and the absolute error of a key that underflows.
 _U = 2.0 ** -53
-_TINY = 2.0 ** -1072
+_TINY = 2.0 ** -1074
 # Sorted positions per pass of the ordering: its temporaries stay this small.
 _BLOCK = 1 << 13
 
@@ -151,57 +151,32 @@ def _coordinates(points, J: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     return xy[:, 0], xy[:, 1], J
 
 
-def _bounds(xs: np.ndarray, ys: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """The float keys of points (xs, ys) and their rounding bounds, as
-    `angle_sequence` defines them, formed in place: key 0 and bound inf
-    where the key is not trusted.  A finite bound implies a finite key."""
+def _keys(xs: np.ndarray, ys: np.ndarray, T: float, tJ2: Fraction) -> np.ndarray:
+    """The float keys of `angle_sequence`, in input order; T = fl(tJ2)."""
+    keys = np.add(xs, T)
+    keys += float(tJ2 - Fraction(T))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = xs + T
-        y = ys.astype(np.float64)           # exact: |y| <= 2^53
-        key = y / d
-        err = np.abs(y, out=y)
-        err /= d
-        scale = np.divide(T, d)
-        scale += 1
-        err *= scale
-        err += np.abs(key, out=scale)
-        err *= 8 * _U
-        err += _TINY
-        untrusted = np.multiply(d, 1 - 4 * _U, out=d) < 4 * _U * T
-    untrusted |= ~np.isfinite(err)
-    np.copyto(key, 0.0, where=untrusted)
-    np.copyto(err, np.inf, where=untrusted)
-    return key, err
+        np.divide(ys, keys, out=keys)
+    return keys
 
 
-def _separable(bounds, n: int, lower: np.ndarray) -> np.ndarray:
-    """Element i of the n - 1 results is True when every true key at sorted
-    positions <= i lies strictly below every true key at positions > i.
+def _bound(b: int) -> float:
+    """The relative bound c of every float key for t = a/b (`angle_sequence`)."""
+    return 4 * _U if b <= 2 ** 900 else math.inf
 
-    `bounds(s, e)` gives fresh arrays (key, err) of sorted positions s..e-1,
-    and each true key lies in [key - err, key + err].  Block by block of
-    _BLOCK positions, the running minimum of the lower ends from the right
-    goes into `lower` (n floats), and the running maximum of the upper ends
-    from the left is compared with it; each running bound is carried across
-    blocks, so the test holds for bounds of any size.
-    """
-    low = np.inf
-    for s in reversed(range(0, n, _BLOCK)):
-        key, err = bounds(s, min(s + _BLOCK, n))
-        np.subtract(key, err, out=key)
-        np.minimum.accumulate(key[::-1], out=key[::-1])
-        np.minimum(key, low, out=lower[s:s + len(key)])
-        low = lower[s]
-    separable = np.empty(n - 1, dtype=bool)
-    high = -np.inf
-    for s in range(0, n - 1, _BLOCK):
-        key, err = bounds(s, min(s + _BLOCK, n - 1))
-        np.add(key, err, out=key)
-        np.maximum.accumulate(key, out=key)
-        np.maximum(key, high, out=key)
-        high = key[-1]
-        np.less(key, lower[s + 1:s + 1 + len(key)], out=separable[s:s + len(key)])
-    return separable
+
+def _joined(keys: np.ndarray, order: np.ndarray, bound: float) -> np.ndarray:
+    """Sorted positions that are no cut of `angle_sequence`.  Blocks of
+    _BLOCK + 1 sorted keys overlap by one, so each block edge is tested."""
+    cut = np.empty(len(order) - 1, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, len(cut), _BLOCK):
+            key = keys[order[s:s + _BLOCK + 1]]
+            width = np.abs(key[1:]) + np.abs(key[:-1])
+            width *= 2 * bound
+            width += 8 * _TINY
+            np.greater(np.diff(key), width, out=cut[s:s + len(width)])
+    return np.flatnonzero(~cut)
 
 
 def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
@@ -211,36 +186,43 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     (then J is required).  Ties (observer-collinear points) keep their
     input order and later produce zero gaps.
 
-    The order comes from the float key k = fl(y / d), d = fl(x + T),
-    T = fl(t*J^2), sorted by a stable argsort.  Let u = 2^-53 and
-    D = x + t*J^2 the exact denominator.  Correct rounding gives
-    |T - t*J^2| <= u*T and |d - (x + T)| <= u*d, so |d - D| <= u*(T + d).
-    A key is trusted when fl(4u*T) <= fl((1 - 4u)*d): the left side is
-    exact and the right one at most a factor 1 + u too large, so
-    4u*(T + d) <= (1 + u)*d, D >= (3 - u)*d/4 and
-    |y/d - y/D| <= 1.34*u*|y|*(T/d + 1)/d.  The division adds at most
-    u*|k| (plus 2^-1075 if it underflows).  Each key therefore carries the
-    bound
+    A stable argsort orders the float keys k = fl(y/d), d = fl(fl(x + T) + L),
+    where t = a/b, T = fl(t*J^2) and L = fl(t*J^2 - T) carries the rounding
+    error of T, which next to a close observer would dwarf the exact
+    denominator D = x + t*J^2.  Let u = 2^-53, s = x + T and tau = t*J^2 - T,
+    so D = s + tau and |tau| <= ulp(T)/2 <= u*T (ulp: the float spacing just
+    above).  T >= 1 (as t*J^2 > J) is a multiple of 2^-52, so a nonzero tau
+    is at least 2^-52/b: for b <= 2^900 a normal float, with
+    |L - tau| <= u*|tau|.  Then
+    |fl(s) - s| + |L - tau| <= 1.01u*|D|:
 
-        err = 8u * (|k| + |y| / d * (T/d + 1)) + 2^-1072,
+      - T/2 <= -x <= 2T: fl(s) = s (Sterbenz) and |tau| <= |D|.  For
+        T < 2^53, ulp(T) <= 1 divides T and x, so s = 0 or |s| >= 2|tau|;
+        for T >= 2^53, x >= -2^53 gives s >= T - 2^53 >= 0, so s = 0, or
+        s >= ulp(T) >= 2|tau|, or T = 2^53 and s >= 1 with tau >= -1/2.
+      - otherwise |s| > T/2 >= |tau|/(2u), so |fl(s) - s| <= u*(1 + 3u)*|D|
+        and |L - tau| <= 3u^2*|D|.
 
-    which leaves more than 6u*(|k| + |y|(T/d + 1)/d) of room for the
-    rounding of err and of k +- err themselves.  Neither test nor bound
-    forms T + d, which overflows once T passes about 9e307.  Integer
-    coordinates of magnitude at most 2^53 convert to float exactly.  A key
-    that fails the trust test, or whose k or err is not finite, gets an
-    infinite bound, which puts every point in one stretch, wherever the
-    argsort placed that key (even a NaN one).  Between two
-    adjacent sorted positions the order is certain when all keys on the
-    left, widened by their bounds, stay below all widened keys on the
-    right; each maximal stretch without such a cut is re-sorted exactly by
-    (y/(b*x + a*J^2), input index).
+    Hence |d - D| <= 2.02u*|D|; a nonzero D is at least 1/b, so no key
+    overflows, and the division adds at most u*|k| + 2^-1075.  One relative
+    bound covers every key:
+
+        |k - y/D| <= c*|k| + 2^-1074,  c = 4u,
+
+    and c is infinite for b > 2^900.  (Coordinates of magnitude at most 2^53
+    convert exactly, and fl(x + T) stays finite up to the float limit.)
+    Both ends k +- (c*|k| + 2^-1074) grow with k, so position i of the
+    sorted keys is a cut, with every true key left of it strictly below
+    every one right of it, when k_{i+1} - k_i > c*(|k_i| + |k_{i+1}|) +
+    2^-1073; the float test fl(k_{i+1} - k_i) > fl(2c*fl(|k_i| + |k_{i+1}|))
+    + 2^-1071 implies that, 2c being a power of 2.  An infinite c, or a key
+    that is not finite, gives no cut.  Each maximal stretch without a cut is
+    re-sorted exactly by (y/(b*x + a*J^2), input index); as the cuts are
+    exact, the result is the unique stable exact order however the
+    stretches fall.
 
     Besides the points and `order`, one float array is held: the keys, then
-    the running lower ends of `_separable`, then the angles.  After the
-    argsort, keys and bounds are recomputed, _BLOCK sorted positions at a
-    time, from `order` by the same float operations, so every pass sees the
-    same bits.
+    the angles.
     """
     xs, ys, J = _coordinates(points, J)
     n = len(xs)
@@ -251,21 +233,14 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     a, b = t_frac.numerator, t_frac.denominator
     aJ2 = a * J * J
     try:
-        T = float(Fraction(aJ2, b))
+        T = float(tJ2 := Fraction(aJ2, b))
     except OverflowError:
         raise PreconditionError(f"t*J^2 overflows a float at J={J} (--t)") from None
 
-    buf = np.empty(n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(ys, np.add(xs, T, out=buf), out=buf)
+    buf = _keys(xs, ys, T, tJ2)
     order = np.argsort(buf, kind="stable")
-
-    def sorted_bounds(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = order[s:e]
-        return _bounds(xs[idx], ys[idx], T)
-
     # joined[k] = i: sorted positions i and i + 1 belong to one stretch.
-    joined = np.flatnonzero(~_separable(sorted_bounds, n, buf))
+    joined = _joined(buf, order, _bound(b))
     if len(joined):
         starts = joined[np.r_[True, np.diff(joined) > 1]]
         ends = joined[np.r_[np.diff(joined) > 1, True]] + 2
@@ -299,8 +274,8 @@ def normalized_gaps(seq: AngleSequence) -> GapSample:
 def empirical_G(gaps: GapSample, lam):
     """Fraction of gaps >= lam (scalar or array lam; right-closed convention)."""
     lam_arr = np.asarray(lam, dtype=np.float64)
-    if np.any(lam_arr < 0):
-        raise PreconditionError("lambda must be nonnegative")
+    if not np.all(lam_arr >= 0):                  # NaN fails the comparison too
+        raise PreconditionError("lambda must be nonnegative and not NaN")
     if gaps.n == 0:
         raise PreconditionError("gap sample is empty")
     below = np.searchsorted(gaps.sorted_gaps, lam_arr, side="left")

@@ -70,7 +70,8 @@ class LambdaGrid:
 
     def values(self) -> np.ndarray:
         n = math.floor((self.hi - self.lo) / self.step * (1.0 + 1e-9))   # slack for rounding
-        return np.round(self.lo + self.step * np.arange(n + 1), 12)
+        values = np.round(self.lo + self.step * np.arange(n + 1), 12)
+        return values[values <= self.hi + 1e-12 * max(1.0, self.hi)]   # the slack may pass hi
 
 
 DEFAULT_GRID = LambdaGrid()
@@ -161,10 +162,13 @@ def composite_contrast(q_values: Sequence[int], t, h: int,
                        grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of each modulus' empirical curve to the prime-limit curve.
 
-    Primes are expected to land close; composites are unconstrained and
-    usually land far.  The report flags primality per modulus.  Consecutive
-    ranges are welcome; even moduli carry no centered-representative
-    convention and are skipped.
+    Primes are expected to land close; composites usually land far, though
+    not unconstrained: a height y carries a point only when y and y^-1 - h
+    are units mod q, so a composite's empty rows follow a fixed periodic
+    mask, and its curve nears the limit of the region without those rows.
+    The report still measures every modulus against the prime limit and
+    flags primality.  Consecutive ranges are welcome; even moduli carry no
+    centered-representative convention and are skipped.
     """
     t_frac = as_fraction(t)
     ref = _limit_curve(float(t_frac), grid)

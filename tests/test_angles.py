@@ -14,7 +14,6 @@ from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
                     angle_sequence, build_curve, empirical_G, gap_per_point,
                     normalized_gaps)
 from nfgaps import angles
-from nfgaps.angles import _separable
 from nfgaps.output import write_csv
 
 from conftest import cached_gap_sample, per_point_columns
@@ -92,6 +91,40 @@ def near_tie_point_sets(draw):
     return draw(st.permutations(pairs + others)), t, J
 
 
+@st.composite
+def bound_cases(draw):
+    """Curves and plain point lists, with t far above 1/J, just above it
+    (t*J - 1 down to about 2^-1100, so that t*J^2 - fl(t*J^2) underflows),
+    or with t*J^2 near 2^53 or up to 1.7e308.  The plain lists reach
+    J = 1.5e9; some hold points far right or far left of the square, and
+    some a point next to the observer's vertical x = -t*J^2."""
+    ps = build_curve(draw(st.sampled_from(ODD_PRIMES[:60])), draw(st.integers(1, 4)))
+    J = ps.J if draw(st.booleans()) else draw(st.integers(1, 1_500_000_000))
+    kind = draw(st.sampled_from(["any", "close", "2^53", "huge"]))
+    if kind == "any":
+        t = Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+    elif kind == "close":
+        shift = draw(st.one_of(st.integers(0, 120), st.integers(900, 1100)))
+        eps = Fraction(draw(st.integers(1, 2 ** 40)), draw(st.integers(1, 2 ** 40)) << shift)
+        t = (1 + eps) / J
+    elif kind == "2^53":
+        k = draw(st.integers(1, 2 ** 60))
+        r = draw(st.one_of(st.integers(0, k - 1), st.sampled_from([1, k - 1])))
+        t = (draw(st.integers(2 ** 53 - 4, 2 ** 54)) + Fraction(r, k)) / J ** 2
+    else:
+        t = Fraction(draw(st.floats(1e300, 1.7e308))) / J ** 2
+    assume(t * J > 1)
+    if J == ps.J:
+        return ps, t, J
+    coord = st.integers(-J, J)
+    x = draw(st.sampled_from([coord, st.integers(J, 2 ** 53), st.integers(-2 ** 53, -J)]))
+    points = draw(st.lists(st.tuples(x, coord), min_size=1, max_size=20))
+    if draw(st.booleans()):
+        nearest = round(-t * J * J) + draw(st.integers(-2, 2))
+        points.append((max(nearest, -2 ** 53), draw(coord)))
+    return points, t, J
+
+
 def ordered_points(points, t, J):
     return [points[i] for i in angle_sequence(points, t, J=J).order]
 
@@ -120,8 +153,8 @@ class TestFloatFilteredOrder:
         assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
 
     def test_observer_just_left_of_square(self):
-        # x + t*J^2 = 1e-24 at x = -J: the float denominator rounds to 0, so
-        # the filter must fall back to the exact order for every point.
+        # x + t*J^2 = 1e-24 at x = -J: x + fl(t*J^2) is 0 there, and only the
+        # low part fl(t*J^2 - T) of the denominator orders these keys.
         J = 1000
         t = Fraction(1, J) + Fraction(1, 10 ** 30)
         points = [(-J, 1), (-J, -1), (0, 5), (3, -7), (-J, 2), (J, J)]
@@ -141,31 +174,28 @@ class TestFloatFilteredOrder:
         with pytest.raises(PreconditionError):
             angle_sequence([(2 ** 53 + 1, 0), (0, 1)], 3, J=10)
 
-    @settings(max_examples=200, deadline=None)
-    @given(cells=st.lists(st.tuples(st.floats(-1e300, 1e300),
-                                    st.one_of(st.floats(0.0, 1e300), st.just(math.inf))),
-                          min_size=1, max_size=40),
-           ascending=st.booleans(), block=st.sampled_from([1, 2, 7, angles._BLOCK]))
-    def test_separable_matches_out_of_place_reference(self, cells, ascending, block):
-        # the blocked running bounds, carried across blocks, against the
-        # whole-array expression they replaced
-        if ascending:
-            cells = sorted(cells)
-        key = np.array([k for k, _ in cells])
-        err = np.array([e for _, e in cells])
-        want = (np.maximum.accumulate(key + err)[:-1]
-                < np.minimum.accumulate((key - err)[::-1])[::-1][1:])
-        asked = []
-
-        def bounds(s, e):
-            asked.append((s, e))
-            return key[s:e].copy(), err[s:e].copy()
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(angles, "_BLOCK", block)
-            got = _separable(bounds, len(key), np.empty(len(key)))
-        np.testing.assert_array_equal(got, want)
-        assert all(0 <= s < e <= min(s + block, len(key)) for s, e in asked)
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_bound_covers_every_key(self, case):
+        # the relative bound against the exact error of every float key, and
+        # every cut against the exact keys' ends
+        points, t, J = case
+        xs, ys, J = angles._coordinates(points, J)
+        tJ2 = t * J * J
+        T = float(tJ2)
+        c = angles._bound(t.denominator)
+        if c == math.inf:
+            return
+        keys = angles._keys(xs, ys, T, tJ2)
+        tiny = Fraction(2.0 ** -1074)
+        for x, y, k in zip(xs.tolist(), ys.tolist(), keys.tolist()):
+            if x + tJ2:                 # no true key on the observer's vertical
+                assert abs(y / (x + tJ2) - Fraction(k)) <= c * abs(Fraction(k)) + tiny
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order].tolist()
+        for i in set(range(len(xs) - 1)) - set(angles._joined(keys, order, c).tolist()):
+            lo, hi = Fraction(sorted_keys[i]), Fraction(sorted_keys[i + 1])
+            assert hi - c * abs(hi) - tiny > lo + c * abs(lo) + tiny
 
     def test_curve_coordinates_unchanged(self):
         ps = build_curve(1009, 3)
@@ -183,15 +213,15 @@ def order_with_block(points, t, J, block):
 
 def joined_positions(points, t, J=None) -> int:
     """How many adjacent sorted positions the float filter could not separate."""
-    separable, joined = angles._separable, []
+    joined_at, joined = angles._joined, []
 
     def counting(*args):
-        result = separable(*args)
-        joined.append(int(np.count_nonzero(~result)))
+        result = joined_at(*args)
+        joined.append(len(result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(angles, "_separable", counting)
+        mp.setattr(angles, "_joined", counting)
         angle_sequence(points, t, J=J)
     return joined[0]
 
@@ -222,13 +252,15 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_infinite_bounds(self, block):
-        # the cases of test_observer_just_left_of_square and
-        # test_no_overflow_near_float_max, whose keys are not trusted
+        # a denominator of t past 2^900, where the bound is infinite and every
+        # position is joined, then the cases of
+        # test_observer_just_left_of_square and test_no_overflow_near_float_max
         J = 1000
-        t = Fraction(1, J) + Fraction(1, 10 ** 30)
         points = [(-J, 1), (-J, -1), (0, 5), (3, -7), (-J, 2), (J, J)]
-        seq = order_with_block(points, t, J, block)
-        assert [points[i] for i in seq.order] == slope_order_oracle(points, t, J)
+        for t in (Fraction(1, J) + Fraction(1, 3 << 1000), Fraction(1, J) + Fraction(1, 10 ** 30)):
+            seq = order_with_block(points, t, J, block)
+            assert [points[i] for i in seq.order] == slope_order_oracle(points, t, J)
+        assert joined_positions(points, Fraction(1, J) + Fraction(1, 3 << 1000), J) == 5
         ps = build_curve(101, 1)
         for T in (9e307, 1e308, 1.7e308):
             t = Fraction(T) / ps.J ** 2
@@ -395,6 +427,12 @@ class TestEmpiricalG:
         _, gaps = cached_gap_sample(101, 1, "3")
         with pytest.raises(PreconditionError):
             empirical_G(gaps, -0.1)
+
+    def test_nan_lambda_rejected(self):
+        _, gaps = cached_gap_sample(101, 1, "3")
+        for lam in (math.nan, np.array([0.5, math.nan, 1.0])):
+            with pytest.raises(PreconditionError):
+                empirical_G(gaps, lam)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=60),

@@ -32,6 +32,18 @@ class TestLambdaGrid:
             values = LambdaGrid.from_spec(spec).values()
             assert len(values) == n and values[-1] == float(spec.split(":")[1])
 
+    def test_slack_never_passes_hi(self):
+        assert LambdaGrid(0.0, 2.9999999985, 1.0).values().tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("grid", [LambdaGrid.from_spec(spec) for spec in
+                                      ("0:4:0.01", "0:3:0.01", "0:3:0.05", "1:3:0.05")]
+                             + [DEFAULT_GRID])
+    def test_common_grids_keep_every_value(self, grid):
+        # bit for bit the values of the count with its slack alone
+        n = math.floor((grid.hi - grid.lo) / grid.step * (1.0 + 1e-9))
+        want = np.round(grid.lo + grid.step * np.arange(n + 1), 12)
+        assert grid.values().tobytes() == want.tobytes()
+
     def test_bad_specs(self):
         for spec in ("0:3", "a:b:c", "1:0:0.1", "0:1:0"):
             with pytest.raises(PreconditionError):
