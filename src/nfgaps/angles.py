@@ -1,9 +1,10 @@
 """Observer angles, sorted angle sequences, and normalized gap statistics.
 
-An observer sits at (-t*J^2, 0), strictly left of the square [-J, J]^2,
-and measures the signed angle to every curve point.  The empirical gap
-distribution G(lambda) is the fraction of consecutive angular gaps of
-size at least lambda times the average gap.
+An observer sits at (-t*J^2, 0), strictly left of every point (for a curve
+in the square [-J, J]^2, t*J > 1 implies it), and measures the signed angle
+to each; t is anything `Fraction` accepts.  The empirical gap distribution
+G(lambda) is the fraction of consecutive angular gaps of size at least
+lambda times the average gap.
 
 The angular order is exact.  With t = a/b, point i precedes point j when
 y_i/(x_i + t*J^2) < y_j/(x_j + t*J^2), an integer comparison.  The order is
@@ -28,47 +29,13 @@ from .errors import PreconditionError
 from .modcurve import CurvePointSet
 
 __all__ = [
-    "ObserverFrame",
     "AngleSequence",
     "GapSample",
-    "as_fraction",
     "angle_sequence",
     "normalized_gaps",
     "empirical_G",
     "gap_per_point",
 ]
-
-
-def as_fraction(t) -> Fraction:
-    """Coerce t to an exact rational.
-
-    Strings parse as exact decimals ("2.76" -> 69/25); floats use their
-    exact binary value.
-    """
-    if isinstance(t, (Fraction, str, int, float)):
-        return Fraction(t)
-    raise PreconditionError(f"cannot interpret {t!r} as a rational number")
-
-
-@dataclass(frozen=True)
-class ObserverFrame:
-    """Observer position (-t*J^2, 0) for a square of half-width J."""
-
-    t: Fraction
-    J: int
-
-    def __post_init__(self) -> None:
-        if self.J < 1:
-            raise PreconditionError(f"J must be a positive integer; got {self.J}")
-        if self.t * self.J <= 1:
-            shown = f"{float(self.t):g}"
-            if self.t and not float(self.t):     # below the float range: its decimal exponent
-                exp = math.log10(abs(self.t.numerator)) - math.log10(self.t.denominator)
-                shown = f"{'-' * (self.t < 0)}1e{round(exp)}"
-            raise PreconditionError(
-                f"need t > 1/J so the observer lies strictly left of the square; "
-                f"got t={shown}, J={self.J}"
-            )
 
 
 @dataclass(eq=False)
@@ -81,7 +48,6 @@ class AngleSequence:
 
     angles: np.ndarray
     order: np.ndarray
-    frame: ObserverFrame
 
     @property
     def n(self) -> int:
@@ -183,8 +149,10 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     """Sort points by observer angle and return the angle sequence.
 
     `points` is a centered CurvePointSet or an iterable of integer pairs
-    (then J is required).  Ties (observer-collinear points) keep their
-    input order and later produce zero gaps.
+    (then J is required), and t anything `Fraction` accepts.  Every point
+    must lie strictly right of the observer: b*x + a*J^2 > 0 for t = a/b,
+    which t*J > 1 implies for a curve (x >= -J).  Ties (observer-collinear
+    points) keep their input order and later produce zero gaps.
 
     A stable argsort orders the float keys k = fl(y/d), d = fl(fl(x + T) + L),
     where t = a/b, T = fl(t*J^2) and L = fl(t*J^2 - T) carries the rounding
@@ -228,14 +196,24 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
     n = len(xs)
     if n == 0:
         raise PreconditionError("point set is empty")
-    t_frac = as_fraction(t)
-    frame = ObserverFrame(t=t_frac, J=J)
-    a, b = t_frac.numerator, t_frac.denominator
+    # int(): Fraction keeps a numpy integer's type in its numerator
+    a, b = (int(v) for v in Fraction(t).as_integer_ratio())
+    if J < 1:
+        raise PreconditionError(f"J must be a positive integer; got {J}")
+    if a * J <= b:
+        shown = f"{a / b:g}"
+        if a and not a / b:                  # below the float range: its decimal exponent
+            shown = f"{'-' * (a < 0)}1e{round(math.log10(abs(a)) - math.log10(b))}"
+        raise PreconditionError(f"need t > 1/J so the observer lies strictly left of the "
+                                f"square; got t={shown}, J={J}")
     aJ2 = a * J * J
     try:
         T = float(tJ2 := Fraction(aJ2, b))
     except OverflowError:
         raise PreconditionError(f"t*J^2 overflows a float at J={J} (--t)") from None
+    if b * (x_min := int(xs.min())) + aJ2 <= 0:
+        raise PreconditionError(f"every point must lie strictly right of the observer at "
+                                f"x = -t*J^2 = {-T:g}; got x={x_min}")
 
     buf = _keys(xs, ys, T, tJ2)
     order = np.argsort(buf, kind="stable")
@@ -253,7 +231,7 @@ def angle_sequence(points, t, J: int | None = None) -> AngleSequence:
         for s in range(0, n, _BLOCK):
             idx = order[s:s + _BLOCK]
             np.arctan2(ys[idx], xs[idx] + T, out=buf[s:s + len(idx)])
-    return AngleSequence(angles=buf, order=order, frame=frame)
+    return AngleSequence(angles=buf, order=order)
 
 
 def normalized_gaps(seq: AngleSequence) -> GapSample:

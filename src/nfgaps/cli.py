@@ -197,7 +197,7 @@ def _cmd_gaps(args: argparse.Namespace, out: Path) -> list[str]:
     ps = build_curve(args.q, args.h)
     seq = angle_sequence(ps, args.t)
     gaps = normalized_gaps(seq)
-    summary = {"q": ps.q, "h": ps.h, "t": float(seq.frame.t), "J": ps.J, "n": seq.n,
+    summary = {"q": ps.q, "h": ps.h, "t": float(args.t), "J": ps.J, "n": seq.n,
                "alpha_min": seq.alpha_min, "alpha_max": seq.alpha_max,
                "delta_av": seq.delta_av}
     del seq                            # the angles: G sorts a copy of the gaps
@@ -268,8 +268,6 @@ def _cmd_expsum(args: argparse.Namespace, out: Path) -> list[str]:
         except ValueError:
             raise PreconditionError(
                 f"--sum-b must be comma-separated integers; got {args.sum_b!r}") from None
-        if len(b) != tup.d:
-            raise PreconditionError(f"need {tup.d} coefficients b (--sum-b); got {len(b)}")
     _check_windows(tup.p, *filter(None, [args.interval, *(args.box or ())]))
     files = {}
     if args.sum_b is not None:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angles import angle_sequence, as_fraction, empirical_G, normalized_gaps
+from .angles import angle_sequence, empirical_G, normalized_gaps
 from .errors import PreconditionError
 from .limitdist import limit_G
 from .modcurve import build_curve, is_prime
@@ -129,28 +129,30 @@ def _scan(cells: Iterable[tuple[int, int, Fraction]], ref: np.ndarray, grid: Lam
     return reports, curves
 
 
+def _check_prime_cells(what: str, primes: Sequence[int], shifts: Sequence[int]) -> None:
+    """Every modulus prime, `what` otherwise, and every shift nonzero mod it."""
+    for p in primes:
+        if not is_prime(p):
+            raise PreconditionError(f"{what} (--q); got {p}")
+        for h in shifts:
+            if h % p == 0:
+                raise PreconditionError(f"shift must be nonzero mod p (--h); got h={h}, p={p}")
+
+
 def convergence_scan(t, h: int, primes: Sequence[int],
                      grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Distance of each prime's empirical curve to the closed-form limit."""
-    t_frac = as_fraction(t)
+    t_frac = Fraction(t)
     ref = _limit_curve(float(t_frac), grid)
-    for p in primes:
-        if not is_prime(p):
-            raise PreconditionError(f"convergence scans accept prime moduli only; got {p}")
-        if h % p == 0:
-            raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
+    _check_prime_cells("convergence scans accept prime moduli only", primes, [h])
     return _scan(((p, h, t_frac) for p in primes), ref, grid)
 
 
 def h_independence(t, p: int, h_list: Sequence[int],
                    grid: LambdaGrid = DEFAULT_GRID) -> ScanResult:
     """Pairwise distances between empirical curves for different shifts."""
-    if not is_prime(p):
-        raise PreconditionError(f"shift-independence runs need a prime modulus; got {p}")
-    for h in h_list:
-        if h % p == 0:
-            raise PreconditionError(f"shift must be nonzero mod p; got h={h}, p={p}")
-    t_frac = as_fraction(t)
+    _check_prime_cells("shift-independence runs need a prime modulus", [p], h_list)
+    t_frac = Fraction(t)
     curves = {(p, h, t_frac): empirical_gap_curve(p, h, t_frac, grid) for h in h_list}
     cells = [_report({"q": p, "h": h1, "h2": h2, "t": float(t_frac)},
                      curves[p, h1, t_frac], curves[p, h2, t_frac], grid)
@@ -170,16 +172,15 @@ def composite_contrast(q_values: Sequence[int], t, h: int,
     flags primality.  Consecutive ranges are welcome; even moduli carry no
     centered-representative convention and are skipped.
     """
-    t_frac = as_fraction(t)
+    t_frac = Fraction(t)
     ref = _limit_curve(float(t_frac), grid)
     return _scan(((q, h, t_frac) for q in q_values if q % 2), ref, grid, flag_prime=True)
 
 
 def equidistribution_check(p: int, h: int, t) -> float:
     """KS statistic of the normalized angle positions against uniform."""
-    if not is_prime(p):
-        raise PreconditionError(f"equidistribution checks need a prime modulus; got {p}")
-    seq = angle_sequence(build_curve(p, h), as_fraction(t))
+    _check_prime_cells("equidistribution checks need a prime modulus", [p], [h])
+    seq = angle_sequence(build_curve(p, h), t)
     span = seq.alpha_max - seq.alpha_min
     if not span > 0.0:
         raise PreconditionError(f"--q {p} gives a curve with fewer than 2 distinct angles; "
@@ -195,4 +196,5 @@ def exponential_limit_scan(p: int, h: int, t_list: Sequence,
     column arrangement; empirical curves approach it as t decreases toward
     1/J.  The closeness thresholds applied by callers are harness choices.
     """
-    return _scan(((p, h, as_fraction(t)) for t in t_list), np.exp(-grid.values()), grid)
+    _check_prime_cells("exponential-limit scans need a prime modulus", [p], [h])
+    return _scan(((p, h, Fraction(t)) for t in t_list), np.exp(-grid.values()), grid)

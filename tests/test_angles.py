@@ -10,9 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nfgaps import (AngleSequence, GapSample, ObserverFrame, PreconditionError,
-                    angle_sequence, build_curve, empirical_G, gap_per_point,
-                    normalized_gaps)
+from nfgaps import (AngleSequence, GapSample, PreconditionError, angle_sequence,
+                    build_curve, empirical_G, gap_per_point, normalized_gaps)
 from nfgaps import angles
 from nfgaps.output import write_csv
 
@@ -123,6 +122,20 @@ def bound_cases(draw):
         nearest = round(-t * J * J) + draw(st.integers(-2, 2))
         points.append((max(nearest, -2 ** 53), draw(coord)))
     return points, t, J
+
+
+@st.composite
+def observer_edge_sets(draw):
+    """Points in the square plus one at x = ceil(-t*J^2) + offset, offset in
+    {-1, 0, 1}: just left of the observer, on its vertical (when t*J^2 is an
+    integer) or just right of it, for small and large denominators of t."""
+    J = draw(st.integers(1, 10 ** 6))
+    b = draw(st.one_of(st.integers(1, 30), st.integers(2 ** 60, 2 ** 100)))
+    a = draw(st.integers(b // J + 1, 50 * b // J + 1))
+    x = -(a * J * J // b) + draw(st.sampled_from([-1, 0, 1]))
+    coord = st.integers(-J, J)
+    others = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    return draw(st.permutations([(x, draw(coord)), *others])), Fraction(a, b), J, x
 
 
 def ordered_points(points, t, J):
@@ -314,7 +327,7 @@ class TestMemory:
 class TestObserverFrame:
     def test_observer_inside_rejected(self):
         with pytest.raises(PreconditionError):
-            ObserverFrame(t=Fraction(1, 10), J=10)  # t = 1/J exactly
+            angle_sequence([(0, 1)], Fraction(1, 10), J=10)  # t = 1/J exactly
         with pytest.raises(PreconditionError):
             angle_sequence([(0, 1)], Fraction(1, 20), J=10)
 
@@ -323,7 +336,31 @@ class TestObserverFrame:
     def test_underflowing_t_shows_its_exponent(self, t, shown):
         # float(t) is 0 below about 5e-324; the message names the exponent instead
         with pytest.raises(PreconditionError, match=shown):
-            ObserverFrame(t=t, J=50)
+            angle_sequence([(0, 1)], t, J=50)
+
+    @pytest.mark.parametrize("points, x", [([(-4, 1), (0, 1), (1, 2)], -4),
+                                           ([(0, 0), (-10, -1), (1, 2)], -10)])
+    def test_point_not_right_of_observer_rejected(self, points, x):
+        # observer at (-4, 0): a point on its vertical has no slope, one left of
+        # it an angle past +-pi/2 that the slope order puts on the wrong side
+        with pytest.raises(PreconditionError, match=f"got x={x}$"):
+            angle_sequence(points, 1, J=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(observer_edge_sets())
+    def test_precondition_is_exact(self, case):
+        points, t, J, x = case
+        if t.denominator * x + t.numerator * J * J <= 0:
+            with pytest.raises(PreconditionError, match=f"got x={x}$"):
+                angle_sequence(points, t, J=J)
+        else:
+            assert ordered_points(points, t, J) == slope_order_oracle(points, t, J)
+
+    def test_numpy_integer_t_is_exact(self):
+        ps = build_curve(101, 1)
+        got, want = angle_sequence(ps, np.int64(3)), angle_sequence(ps, 3)
+        assert got.angles.tobytes() == want.angles.tobytes()
+        assert np.array_equal(got.order, want.order)
 
 
 class TestAngleSequence:
@@ -370,8 +407,7 @@ class TestNormalizedGaps:
 
     def test_equally_spaced_angles(self):
         angles = np.linspace(-0.4, 0.4, 9)
-        seq = AngleSequence(angles=angles, order=np.arange(9),
-                            frame=ObserverFrame(t=Fraction(3), J=5))
+        seq = AngleSequence(angles=angles, order=np.arange(9))
         gaps = normalized_gaps(seq)
         assert gaps.gaps == pytest.approx(np.ones(8))
 
@@ -448,8 +484,7 @@ class TestEmpiricalG:
         angles = np.sort(np.asarray(raw))
         if angles[-1] - angles[0] < 1e-9:
             return
-        seq = AngleSequence(angles=angles, order=np.arange(len(angles)),
-                            frame=ObserverFrame(t=Fraction(3), J=2))
+        seq = AngleSequence(angles=angles, order=np.arange(len(angles)))
         gaps = normalized_gaps(seq)
         assert float(np.sum(gaps.gaps)) == pytest.approx(gaps.n, rel=1e-9)
 

@@ -382,6 +382,10 @@ class TestValidationErrors:
         (["limit", "--t", "0.5"], "--t"),
         (["limit", "--t", "2.76", "--tile-t", "0.5:2:0.5", "--tile-lambda", "0:1:0.5"],
          "--tile-t"),
+        (["scan", "--kind", "exponential", "--q", "9975", "--h", "1", "--t", "2"], "--q"),
+        (["scan", "--kind", "exponential", "--q", "10007", "--h", "10007", "--t", "2"], "--h"),
+        (["scan", "--kind", "equidistribution", "--q", "10007", "--h", "0", "--t", "2.76"],
+         "--h"),
     ], ids=["sum-b-literal", "convergence-h", "convergence-t", "h-independence-q",
             "h-independence-t", "composite-h", "composite-t", "equidistribution-q",
             "equidistribution-h", "equidistribution-t", "exponential-q", "exponential-h",
@@ -395,7 +399,8 @@ class TestValidationErrors:
             "equidistribution-one-angle", "omega-inf-lambda", "omega-inf-lambda-quadrature",
             "sum-b-arity", "omega-negative-seed", "omega-seed-past-64-bits",
             "grid-step-below-rounding", "grid-step-below-spacing", "grid-overflow",
-            "limit-t-below-one", "tile-t-below-one"])
+            "limit-t-below-one", "tile-t-below-one", "exponential-composite-q",
+            "exponential-h-multiple-of-q", "equidistribution-h-zero"])
     def test_flag_value_named(self, argv, flag, tmp_path, capsys):
         # usage errors stop in argparse, before the output directory exists
         out = tmp_path / "out"

@@ -124,6 +124,13 @@ class TestConvergenceScan:
         with pytest.raises(PreconditionError):
             convergence_scan("0.5", 1, [101])
 
+    def test_numpy_integer_t(self):
+        grid = LambdaGrid(0.0, 3.0, 0.1)
+        reports, curves = convergence_scan(np.int64(3), 1, [101], grid)
+        want_reports, want_curves = convergence_scan(3, 1, [101], grid)
+        assert reports == want_reports and list(curves) == list(want_curves)
+        np.testing.assert_array_equal(curves[101, 1, 3], want_curves[101, 1, 3])
+
 
 class TestHIndependence:
     def test_identical_shifts_zero_distance(self):
